@@ -101,41 +101,60 @@ def _resolve_graph(args) -> tuple[str, Graph]:
     return _family_source(args.family, params), generate(args.family, **params)
 
 
-def _enumerate_separators(g: Graph, method: str, jobs: int, tree=None) -> list[VertexSet]:
+def _route_basis(g: Graph, method: str):
+    """The structure a route starts from, computed once per command.
+
+    The minimum vertex cover for vc, the modular decomposition tree for mw,
+    None for brute.
+    """
     if method == "vc":
-        return separators_by_vc(g, minimum_vertex_cover(g), jobs=jobs)
+        return minimum_vertex_cover(g)
     if method == "mw":
-        return enumerate_by_mw(g, tree)[0] if tree is not None else enumerate_by_mw(g)[0]
+        return modular_decomposition(g)
+    return None
+
+
+def _enumerate_separators(g: Graph, method: str, jobs: int, basis) -> list[VertexSet]:
+    if method == "vc":
+        return separators_by_vc(g, basis, jobs=jobs)
+    if method == "mw":
+        return enumerate_by_mw(g, basis)[0]
     return brute_force_separators(g, cap=_env_oracle_cap(), jobs=jobs)
 
 
-def _enumerate_pmcs(g: Graph, method: str, jobs: int, tree=None) -> PmcCatalog:
+def _enumerate_pmcs(g: Graph, method: str, jobs: int, basis) -> PmcCatalog:
     if method == "vc":
-        return pmcs_by_vc(g)
+        return pmcs_by_vc(g, basis)
     if method == "mw":
-        return enumerate_by_mw(g, tree)[1] if tree is not None else enumerate_by_mw(g)[1]
+        return enumerate_by_mw(g, basis)[1]
     return brute_force_pmcs(g, cap=_env_oracle_cap(), jobs=jobs)
 
 
-def _fill_params(report: RunReport, g: Graph, method: str, tree=None) -> None:
+def _fill_params(report: RunReport, g: Graph, method: str):
+    """Record the route's parameter in the report; return the route's basis."""
+    basis = _route_basis(g, method)
     if method == "vc":
-        report.vc = len(minimum_vertex_cover(g))
+        report.vc = len(basis)
     elif method == "mw":
-        report.mw = modular_width(tree if tree is not None else modular_decomposition(g))
+        report.mw = modular_width(basis)
+    return basis
 
 
-def solve_value(g: Graph, problem: str, method: str, jobs: int = 1) -> int:
+def solve_value(g: Graph, problem: str, method: str, jobs: int = 1, basis=None) -> int:
     """Treewidth ('tw') or minimum fill-in ('fillin') of any graph.
 
     Splits into connected components, solves each from its PMC catalog, and
-    combines with max (treewidth) or sum (fill-in).
+    combines with max (treewidth) or sum (fill-in). A connected g reuses
+    ``basis``, the vertex cover or decomposition tree of g, when given.
     """
     if g.n == 0:
         raise InputError("graph must be nonempty")
+    comps = components(g, VertexSet())
     values = []
-    for comp in components(g, VertexSet()):
+    for comp in comps:
         sub, _ = induced_subgraph(g, comp)
-        catalog = _enumerate_pmcs(sub, method, jobs)
+        sub_basis = basis if basis is not None and len(comps) == 1 else _route_basis(sub, method)
+        catalog = _enumerate_pmcs(sub, method, jobs, sub_basis)
         values.append(treewidth(sub, catalog) if problem == "tw" else min_fill_in(sub, catalog))
     return max(values) if problem == "tw" else sum(values)
 
@@ -147,16 +166,15 @@ def solve_value(g: Graph, problem: str, method: str, jobs: int = 1) -> int:
 def _cmd_enum(args) -> tuple[RunReport, int]:
     source, g = _resolve_graph(args)
     report = RunReport(command="enum", source=source, n=g.n, m=g.m)
-    tree = modular_decomposition(g) if args.method == "mw" else None
-    _fill_params(report, g, args.method, tree)
+    basis = _fill_params(report, g, args.method)
     if args.what == "seps":
-        seps = _enumerate_separators(g, args.method, args.jobs, tree)
+        seps = _enumerate_separators(g, args.method, args.jobs, basis)
         report.results = {
             "separators": [vs.to_list() for vs in seps],
             "counts": {"separators": len(seps)},
         }
     else:
-        catalog = _enumerate_pmcs(g, args.method, args.jobs, tree)
+        catalog = _enumerate_pmcs(g, args.method, args.jobs, basis)
         report.results = {
             "pmcs": catalog.to_lists(),
             "counts": {"pmcs": len(catalog)},
@@ -167,19 +185,24 @@ def _cmd_enum(args) -> tuple[RunReport, int]:
 def _cmd_count(args) -> tuple[RunReport, int]:
     source, g = _resolve_graph(args)
     report = RunReport(command="count", source=source, n=g.n, m=g.m)
-    tree = modular_decomposition(g) if args.method == "mw" else None
-    _fill_params(report, g, args.method, tree)
+    basis = _fill_params(report, g, args.method)
+    want_seps = args.what in ("seps", "both")
+    want_pmcs = args.what in ("pmcs", "both")
+    if args.method == "mw":
+        seps, catalog = enumerate_by_mw(g, basis)  # one pass gives both
+    else:
+        seps = _enumerate_separators(g, args.method, args.jobs, basis) if want_seps else None
+        catalog = _enumerate_pmcs(g, args.method, args.jobs, basis) if want_pmcs else None
     counts: dict = {}
-    if args.what in ("seps", "both"):
-        seps = _enumerate_separators(g, args.method, args.jobs, tree)
+    if want_seps:
         counts["separators"] = len(seps)
         if args.family == "watermelon":
             u, v = watermelon_hubs(args.p, args.q)
             counts["uv_separators"] = sum(
                 1 for s in seps if is_minimal_uv_separator(g, s, u, v)
             )
-    if args.what in ("pmcs", "both"):
-        counts["pmcs"] = len(_enumerate_pmcs(g, args.method, args.jobs, tree))
+    if want_pmcs:
+        counts["pmcs"] = len(catalog)
     report.results = {"counts": counts}
     return report, 0
 
@@ -230,7 +253,7 @@ def _cmd_verify(args) -> tuple[RunReport, int]:
             "mw": {vs.mask for vs in mw_seps},
         }
         pmc_sets = {
-            "vc": set(pmcs_by_vc(g).mask_set()),
+            "vc": set(pmcs_by_vc(g, cover).mask_set()),
             "mw": set(mw_cat.mask_set()),
         }
         oracle = "included"
@@ -271,8 +294,8 @@ def _cmd_verify(args) -> tuple[RunReport, int]:
 def _cmd_solve(args) -> tuple[RunReport, int]:
     source, g = _resolve_graph(args)
     report = RunReport(command="solve", source=source, n=g.n, m=g.m)
-    _fill_params(report, g, args.method)
-    value = solve_value(g, args.problem, args.method, jobs=args.jobs)
+    basis = _fill_params(report, g, args.method)
+    value = solve_value(g, args.problem, args.method, jobs=args.jobs, basis=basis)
     key = "treewidth" if args.problem == "tw" else "fill_in"
     report.results = {"counts": {key: value}}
     return report, 0
@@ -293,23 +316,18 @@ def _cmd_bench(args) -> tuple[RunReport, int]:
     source, g = _resolve_graph(args)
     timings["build"] = _ms_since(t0)
     report = RunReport(command="bench", source=source, n=g.n, m=g.m)
-    tree = None
     t0 = time.perf_counter()
-    if args.method == "vc":
-        report.vc = len(minimum_vertex_cover(g))
-        timings["vertex_cover"] = _ms_since(t0)
-    elif args.method == "mw":
-        tree = modular_decomposition(g)
-        report.mw = modular_width(tree)
-        timings["decompose"] = _ms_since(t0)
+    basis = _fill_params(report, g, args.method)
+    if args.method != "brute":
+        timings["vertex_cover" if args.method == "vc" else "decompose"] = _ms_since(t0)
     counts: dict = {}
     if args.what in ("seps", "both"):
         t0 = time.perf_counter()
-        counts["separators"] = len(_enumerate_separators(g, args.method, args.jobs, tree))
+        counts["separators"] = len(_enumerate_separators(g, args.method, args.jobs, basis))
         timings["separators"] = _ms_since(t0)
     if args.what in ("pmcs", "both"):
         t0 = time.perf_counter()
-        counts["pmcs"] = len(_enumerate_pmcs(g, args.method, args.jobs, tree))
+        counts["pmcs"] = len(_enumerate_pmcs(g, args.method, args.jobs, basis))
         timings["pmcs"] = _ms_since(t0)
     report.results = {"counts": counts}
     report.timings_ms = timings

@@ -90,25 +90,35 @@ def _nbr_mask(adj: tuple[int, ...], smask: int) -> int:
     return acc & ~smask
 
 
+def _components_with_nbrs(adj: tuple[int, ...], space: int) -> Iterator[tuple[int, int]]:
+    """(C, N(C)) for each connected component C of the subgraph induced on ``space``.
+
+    Components come ordered by their minimum vertex. N(C) is the neighborhood
+    of C in the whole graph ``adj``, gathered from the BFS frontiers; callers
+    working inside ``space`` intersect it with ``space``.
+    """
+    rem = space
+    while rem:
+        comp = rem & -rem
+        frontier = comp
+        reach = 0
+        while frontier:
+            nxt = 0
+            for v in iter_bits(frontier):
+                nxt |= adj[v]
+            reach |= nxt
+            frontier = nxt & rem & ~comp
+            comp |= frontier
+        yield comp, reach & ~comp
+        rem &= ~comp
+
+
 def _components_masks(adj: tuple[int, ...], space: int) -> list[int]:
     """Connected components of the subgraph induced on ``space``, as masks.
 
     Ordered by their minimum vertex.
     """
-    comps = []
-    rem = space
-    while rem:
-        comp = rem & -rem
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= adj[v]
-            frontier = nxt & rem & ~comp
-            comp |= frontier
-        comps.append(comp)
-        rem &= ~comp
-    return comps
+    return [comp for comp, _ in _components_with_nbrs(adj, space)]
 
 
 def neighborhood(g: Graph, s: VertexSet) -> VertexSet:
@@ -128,11 +138,7 @@ def full_components(g: Graph, s: VertexSet) -> list[VertexSet]:
     """Components C of g - s whose neighborhood is exactly s."""
     _validate_subset(g, s)
     space = g.full_mask & ~s.mask
-    out = []
-    for comp in _components_masks(g.adj, space):
-        if _nbr_mask(g.adj, comp) == s.mask:
-            out.append(VertexSet(comp))
-    return out
+    return [VertexSet(comp) for comp, nb in _components_with_nbrs(g.adj, space) if nb == s.mask]
 
 
 def induced_subgraph(g: Graph, keep: VertexSet) -> tuple[Graph, list[int]]:

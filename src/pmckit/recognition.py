@@ -12,7 +12,7 @@ from multiprocessing import Pool
 
 from .bitset import VertexSet, bit_list, canonical_sets, iter_bits
 from .errors import CapExceeded, ContractViolation, InputError
-from .graph import Graph, _components_masks, _nbr_mask, _validate_subset
+from .graph import Graph, _components_masks, _components_with_nbrs, _nbr_mask, _validate_subset
 
 # Subset oracles refuse graphs above this size unless told otherwise.
 DEFAULT_ORACLE_CAP = 16
@@ -21,11 +21,8 @@ DEFAULT_ORACLE_CAP = 16
 def _min_sep_mask(adj: tuple[int, ...], smask: int, space: int) -> bool:
     """True iff space - smask has >= 2 components whose neighborhood is exactly smask."""
     fulls = 0
-    for comp in _components_masks(adj, space & ~smask):
-        nb = 0
-        for v in iter_bits(comp):
-            nb |= adj[v]
-        if nb & space & ~comp == smask:
+    for _, nb in _components_with_nbrs(adj, space & ~smask):
+        if nb & space == smask:
             fulls += 1
             if fulls == 2:
                 return True
@@ -39,11 +36,8 @@ def _pmc_mask(adj: tuple[int, ...], om: int, space: int) -> bool:
     that every non-adjacent pair inside ``om`` is seen by a common component.
     """
     seps = []
-    for comp in _components_masks(adj, space & ~om):
-        nb = 0
-        for v in iter_bits(comp):
-            nb |= adj[v]
-        s = nb & space & ~comp
+    for _, nb in _components_with_nbrs(adj, space & ~om):
+        s = nb & space
         if s == om:
             return False
         seps.append(s)
@@ -59,13 +53,7 @@ def _pmc_mask(adj: tuple[int, ...], om: int, space: int) -> bool:
 
 def _pmc_sep_masks(adj: tuple[int, ...], om: int, space: int) -> list[int]:
     """Deduplicated component neighborhoods N(C_i) of space - om."""
-    seen = set()
-    for comp in _components_masks(adj, space & ~om):
-        nb = 0
-        for v in iter_bits(comp):
-            nb |= adj[v]
-        seen.add(nb & space & ~comp)
-    return sorted(seen)
+    return sorted({nb & space for _, nb in _components_with_nbrs(adj, space & ~om)})
 
 
 def is_minimal_separator(g: Graph, s: VertexSet) -> bool:

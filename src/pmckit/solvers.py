@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .bitset import VertexSet, iter_bits
 from .errors import CapExceeded, InputError
-from .graph import Graph, _components_masks
+from .graph import Graph, _components_masks, _components_with_nbrs
 from .recognition import PmcCatalog
 
 DEFAULT_TW_ORACLE_CAP = 9
@@ -49,13 +49,8 @@ def _catalog_entries(g: Graph, catalog: PmcCatalog):
     entries = []
     for vs in catalog.members:
         om = vs.mask
-        pieces = []
-        for comp in _components_masks(adj, full & ~om):
-            nb = 0
-            for v in iter_bits(comp):
-                nb |= adj[v]
-            pieces.append((nb & ~comp, comp))
-        entries.append((om, tuple(pieces)))
+        pieces = tuple((nb, comp) for comp, nb in _components_with_nbrs(adj, full & ~om))
+        entries.append((om, pieces))
     return entries
 
 

@@ -1,10 +1,12 @@
 """Vertex-cover computation and cover-parameterized enumeration of separators and PMCs.
 
-The enumerators walk partition spaces of a vertex cover W: 3^|W| three-partitions
-for minimal separators, 4^|W| four-partitions (plus a pair choice) for PMCs with
-an active separator, and an incremental sweep over prefix graphs to finish the
-full PMC catalog. Every candidate is verified by the recognizers, so each stage
-may over-generate freely.
+The enumerators walk partition spaces of a vertex cover W, once each, on the
+whole graph: 3^|W| three-partitions for minimal separators and 4^|W|
+four-partitions (plus a pair choice) for PMCs with an active separator. The
+walks go depth-first over the cover vertices and carry OR-ed masks of the
+non-cover vertices each side sees, so a leaf costs a few bitwise operations.
+The full PMC catalog adds each separator plus one vertex. Every candidate is
+verified by the recognizers, so each stage may over-generate freely.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from typing import Iterator, NamedTuple
 
 from .bitset import VertexSet, canonical_sets, iter_bits
 from .errors import InputError
-from .graph import Graph, _components_masks, _validate_subset, prefix_graph
+from .graph import Graph, _components_masks, _validate_subset
+from .graph import prefix_graph  # noqa: F401  (bench/tracing.py wraps this name)
 from .recognition import PmcCatalog, _min_sep_mask, _pmc_mask
 
 
@@ -111,51 +114,58 @@ def minimum_vertex_cover(g: Graph) -> VertexSet:
     return VertexSet(best_mask)
 
 
-def _sep_chunk(args):
-    """Three-partition range [lo, hi) decoded in base 3; returns candidate masks."""
-    adj, wbits, nonw, lo, hi = args
-    out = set()
-    for idx in range(lo, hi):
-        d1 = sep = d2 = 0
-        rem = idx
-        for b in wbits:
-            rem, a = divmod(rem, 3)
-            if a == 0:
-                d1 |= b
-            elif a == 1:
-                sep |= b
-            else:
-                d2 |= b
-        cand = sep
-        for x, ax in nonw:
-            if (ax & d1) and (ax & d2):
-                cand |= 1 << x
-        out.add(cand)
+def _cover_sees(adj: tuple[int, ...], wmask: int) -> list[tuple[int, int]]:
+    """(bit, sees) per cover vertex w: its own bit and the non-cover vertices adjacent to it."""
+    outside = ~wmask
+    return [(1 << w, adj[w] & outside) for w in iter_bits(wmask)]
+
+
+def _sep_walk(task) -> set[int]:
+    """Separator candidates of every three-partition that extends one partial one.
+
+    A task is (state, rest). The state (sep, s1, s2) assigns the first cover
+    vertices: sep holds those in the separator part, s1 and s2 the non-cover
+    vertices that see D1 and D2. The walk assigns each (bit, sees) of rest
+    depth-first, OR-ing it into one of the three, and at a leaf the candidate
+    is the separator part plus the vertices that see both sides.
+    """
+    state, rest = task
+    k = len(rest)
+    out: set[int] = set()
+
+    def walk(i: int, sep: int, s1: int, s2: int) -> None:
+        if i == k:
+            out.add(sep | (s1 & s2))
+            return
+        b, t = rest[i]
+        i += 1
+        walk(i, sep | b, s1, s2)
+        walk(i, sep, s1 | t, s2)
+        walk(i, sep, s1, s2 | t)
+
+    walk(0, *state)
     return out
 
 
 def _sep_masks_by_vc(g: Graph, wmask: int, jobs: int = 1) -> list[int]:
     """Verified minimal-separator masks from the 3-partition sweep of the cover."""
     adj = g.adj
-    nonw = [(x, adj[x]) for x in iter_bits(g.full_mask & ~wmask)]
-    cands: set[int] = set()
+    cover = _cover_sees(adj, wmask)
     if jobs <= 1:
-        for d1, sep, d2 in three_partitions(wmask):
-            cand = sep
-            for x, ax in nonw:
-                if (ax & d1) and (ax & d2):
-                    cand |= 1 << x
-            cands.add(cand)
+        cands = _sep_walk(((0, 0, 0), cover))
     else:
-        wbits = [1 << v for v in iter_bits(wmask)]
-        total = 3 ** len(wbits)
-        step = -(-total // jobs)
-        tasks = [
-            (adj, wbits, nonw, lo, min(lo + step, total))
-            for lo in range(0, total, step)
-        ]
+        # One task per assignment of the first few cover vertices, enough
+        # tasks to give each worker several.
+        states = [(0, 0, 0)]
+        head = 0
+        while head < len(cover) and len(states) < 4 * jobs:
+            b, t = cover[head]
+            states = [st for sep, s1, s2 in states
+                      for st in ((sep | b, s1, s2), (sep, s1 | t, s2), (sep, s1, s2 | t))]
+            head += 1
+        cands = set()
         with Pool(processes=jobs) as pool:
-            for part in pool.map(_sep_chunk, tasks):
+            for part in pool.map(_sep_walk, [(st, cover[head:]) for st in states]):
                 cands |= part
     full = g.full_mask
     return sorted(m for m in cands if _min_sep_mask(adj, m, full))
@@ -173,26 +183,65 @@ def separators_by_vc(g: Graph, w: VertexSet, jobs: int = 1) -> list[VertexSet]:
     return canonical_sets(_sep_masks_by_vc(g, w.mask, jobs=jobs))
 
 
+def _pmc_walk(adj: tuple[int, ...], wmask: int) -> set[int]:
+    """PMC candidates from the four-partitions (Ds, Dx, Dy, Om) of the cover and a pair choice.
+
+    The walk assigns each cover vertex depth-first to one of the four parts,
+    OR-ing its non-cover neighbors into sees_ds, sees_dx or sees_dy (or its
+    own bit into om). At a leaf, a non-cover vertex joins the candidate if it
+    sees the far side Ds and a near side, or sees no far side but both near
+    sides once the non-cover neighborhoods of a pair (x, y) are added to
+    sees_dx and sees_dy. The pair ranges over all vertices, a harmless
+    superset of what is needed. Swapping Dx and Dy gives the same candidates,
+    so only partitions whose first near-side vertex is in Dx are walked.
+    """
+    cover = _cover_sees(adj, wmask)
+    nonw = ~wmask
+    side_masks = {a & nonw for a in adj}
+    k = len(cover)
+    out: set[int] = set()
+    update = out.update
+
+    def leaf(om: int, sds: int, sdx: int, sdy: int) -> None:
+        near = sdx | sdy
+        base = om | (sds & near)
+        quiet_near = near & ~sds
+        if not quiet_near:
+            out.add(base)
+            return
+        xs = {quiet_near & (sdx | a) for a in side_masks}
+        ys = {quiet_near & (sdy | a) for a in side_masks}
+        update([base | (mx & my) for mx in xs for my in ys])
+
+    def walk(i: int, om: int, sds: int, sdx: int, sdy: int, split: bool) -> None:
+        if i == k:
+            leaf(om, sds, sdx, sdy)
+            return
+        b, t = cover[i]
+        i += 1
+        walk(i, om | b, sds, sdx, sdy, split)
+        walk(i, om, sds | t, sdx, sdy, split)
+        walk(i, om, sds, sdx | t, sdy, True)
+        if split:
+            walk(i, om, sds, sdx, sdy | t, True)
+
+    walk(0, 0, 0, 0, 0, False)
+    return out
+
+
 def _active_pmc_masks(g: Graph, wmask: int, sep_masks) -> set[int]:
     """Verified PMC masks covering every PMC of g that has an active separator.
 
-    Three generation routes, all then filtered by the recognizer:
-    closed neighborhoods N[t]; separator extensions S + (N(t) & C) for each
-    enumerated separator S, vertex t and component C of g - S; and candidates
-    rebuilt from four-partitions of the cover together with a pair choice,
-    where an outside vertex joins the candidate if it sees the far side and
-    the near sides, or sees no far side but both near sides and their pair
-    vertices. Candidate t and the pair range over all vertices, a harmless
-    superset of what is needed.
+    Three generation routes, all then filtered by the recognizer: closed
+    neighborhoods N[t]; separator extensions S + (N(t) & C) for each
+    enumerated separator S, vertex t and component C of g - S; and the
+    four-partition candidates of the cover (see _pmc_walk).
     """
     adj = g.adj
     full = g.full_mask
     n = g.n
-    cands: set[int] = set()
-
-    for t in range(n):
-        cands.add(adj[t] | (1 << t))
-
+    cands = _pmc_walk(adj, wmask)
+    cands.update(adj[t] | (1 << t) for t in range(n))
     for s in sep_masks:
         comps = _components_masks(adj, full & ~s)
         for t in range(n):
@@ -201,30 +250,6 @@ def _active_pmc_masks(g: Graph, wmask: int, sep_masks) -> set[int]:
                 inside = nt & c
                 if inside:
                     cands.add(s | inside)
-
-    nonw = full & ~wmask
-    nonw_bits = [(z, adj[z]) for z in iter_bits(nonw)]
-    side_masks = sorted({adj[x] & nonw for x in range(n)})
-    for ds, dx, dy, om in four_partitions(wmask):
-        sees_ds = sees_dx = sees_dy = 0
-        for z, az in nonw_bits:
-            zb = 1 << z
-            if az & ds:
-                sees_ds |= zb
-            if az & dx:
-                sees_dx |= zb
-            if az & dy:
-                sees_dy |= zb
-        near = sees_dx | sees_dy
-        base = om | (sees_ds & near)
-        quiet = nonw & ~sees_ds
-        xs = {sees_dx | a for a in side_masks}
-        ys = {sees_dy | a for a in side_masks}
-        for mx in xs:
-            pre = quiet & mx & near
-            for my in ys:
-                cands.add(base | (pre & my))
-
     return {m for m in cands if m and _pmc_mask(adj, m, full)}
 
 
@@ -235,30 +260,26 @@ def active_pmcs_by_vc(g: Graph, w: VertexSet) -> PmcCatalog:
     return PmcCatalog.from_verified(g, _active_pmc_masks(g, w.mask, seps))
 
 
-def pmcs_by_vc(g: Graph) -> PmcCatalog:
-    """The complete PMC catalog of g, built incrementally over prefix graphs.
+def pmcs_by_vc(g: Graph, cover: VertexSet | None = None) -> PmcCatalog:
+    """The complete PMC catalog of g, from one vertex cover in one pass.
 
-    Vertices are taken in ascending index order. At step i the catalog of
-    G[0..i-1] is the verified union of: the active-separator PMCs of the
-    prefix (enumerated with the restriction of one fixed minimum cover of g,
-    which covers every prefix), each prefix separator extended by vertex i-1,
-    and every catalog member of the previous prefix with and without i-1.
+    By the structural lemma of Bouchitté and Todinca ("Listing all potential
+    maximal cliques of a graph", TCS 2002), a PMC with no active separator is
+    a minimal separator plus one vertex, S + {x}, or a closed neighborhood
+    N[x]. So the catalog is the verified union of the active-separator PMCs
+    (which include every N[x]) and every S + {x}, with S from the
+    three-partition sweep of the cover. The cover defaults to a minimum one.
     """
     if g.n == 0:
         raise InputError("graph must be nonempty")
-    wmask = minimum_vertex_cover(g).mask
-    prev: set[int] = set()
-    for i in range(1, g.n + 1):
-        gi = prefix_graph(g, i)
-        adj_i = gi.adj
-        full_i = gi.full_mask
-        wi = wmask & full_i
-        seps_i = _sep_masks_by_vc(gi, wi)
-        cur = _active_pmc_masks(gi, wi, seps_i)
-        vb = 1 << (i - 1)
-        extra = {s | vb for s in seps_i}
-        extra.update(prev)
-        extra.update(o | vb for o in prev)
-        cur.update(m for m in extra - cur if m and _pmc_mask(adj_i, m, full_i))
-        prev = cur
-    return PmcCatalog.from_verified(g, prev)
+    if cover is None:
+        cover = minimum_vertex_cover(g)
+    else:
+        _require_cover(g, cover)
+    adj = g.adj
+    full = g.full_mask
+    seps = _sep_masks_by_vc(g, cover.mask)
+    cands = _active_pmc_masks(g, cover.mask, seps)
+    extra = {s | (1 << x) for s in seps for x in iter_bits(full & ~s)}
+    cands.update(m for m in extra - cands if _pmc_mask(adj, m, full))
+    return PmcCatalog.from_verified(g, cands)

@@ -6,6 +6,9 @@ import json
 
 import pytest
 
+import pmckit.cli
+import pmckit.modular
+import pmckit.vc
 from pmckit import cube, parse_gr
 from pmckit.cli import main
 
@@ -218,3 +221,43 @@ class TestOracleCapEnv:
     def test_env_cap_invalid(self, capsys, monkeypatch):
         monkeypatch.setenv("PMCKIT_ORACLE_CAP", "many")
         assert main(["enum", "seps", "--family", "cube", "--method", "brute"]) == 2
+
+
+def count_calls(monkeypatch, name, modules):
+    """Replace ``name`` in each module namespace by one shared counting wrapper."""
+    original = getattr(modules[0], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestWorkDoneOnce:
+    @pytest.mark.parametrize("argv", [
+        ["enum", "pmcs", "--family", "cube", "--method", "vc"],
+        ["enum", "seps", "--family", "cube", "--method", "vc"],
+        ["verify", "--family", "cube"],
+    ])
+    def test_one_vertex_cover_per_command(self, capsys, monkeypatch, argv):
+        calls = count_calls(monkeypatch, "minimum_vertex_cover", [pmckit.cli, pmckit.vc])
+        code, _ = run_json(capsys, argv)
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_solve_mw_decomposes_once(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, "modular_decomposition", [pmckit.cli, pmckit.modular])
+        code, blob = run_json(capsys, ["solve", "tw", "--family", "cube", "--method", "mw"])
+        assert code == 0 and blob["results"]["counts"]["treewidth"] == 3
+        assert len(calls) == 1
+
+    def test_count_both_mw_enumerates_once(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, "enumerate_by_mw", [pmckit.cli])
+        code, blob = run_json(capsys, ["count", "--what", "both", "--family", "cube", "--method", "mw"])
+        assert code == 0
+        assert blob["results"]["counts"] == {"separators": 14, "pmcs": 34}
+        assert len(calls) == 1

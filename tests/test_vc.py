@@ -28,6 +28,7 @@ from pmckit import (
     watermelon,
 )
 from pmckit.bitset import iter_bits
+from pmckit.vc import _cover_sees, _pmc_walk, _sep_walk
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -84,6 +85,30 @@ class TestPartitionSpaces:
             seen.add(part)
         assert len(seen) == 64
 
+    def test_three_partition_walk_matches_generator(self, quick_corpus):
+        for name, g in quick_corpus:
+            w = minimum_vertex_cover(g).mask
+            nonw = [(x, g.adj[x]) for x in iter_bits(g.full_mask & ~w)]
+            want = set()
+            for d1, sep, d2 in three_partitions(w):
+                want.add(sep | sum(1 << x for x, ax in nonw if ax & d1 and ax & d2))
+            assert _sep_walk(((0, 0, 0), _cover_sees(g.adj, w))) == want, name
+
+    def test_four_partition_walk_matches_generator(self, quick_corpus):
+        for name, g in quick_corpus[::4]:
+            w = minimum_vertex_cover(g).mask
+            nonw = g.full_mask & ~w
+            side_masks = {a & nonw for a in g.adj}
+            want = set()
+            for ds, dx, dy, om in four_partitions(w):
+                sees = [sum(1 << z for z in iter_bits(nonw) if g.adj[z] & d) for d in (ds, dx, dy)]
+                near = sees[1] | sees[2]
+                quiet = nonw & ~sees[0]
+                for a in side_masks:
+                    for b in side_masks:
+                        want.add(om | (sees[0] & near) | (quiet & near & (sees[1] | a) & (sees[2] | b)))
+            assert _pmc_walk(g.adj, w) == want, name
+
 
 class TestSeparatorsByVc:
     def test_requires_cover(self):
@@ -127,6 +152,11 @@ class TestSeparatorsByVc:
         g = gnp(9, 0.4, 7)
         w = minimum_vertex_cover(g)
         assert separators_by_vc(g, w, jobs=3) == separators_by_vc(g, w)
+
+    def test_jobs_split_walk_on_watermelon(self):
+        g = watermelon(5, 3)
+        w = minimum_vertex_cover(g)
+        assert separators_by_vc(g, w, jobs=2) == separators_by_vc(g, w)
 
     def test_partition_rebuilds_each_separator(self, quick_corpus):
         # for the partition induced by a separator, the assembled candidate
@@ -197,6 +227,22 @@ class TestPmcsByVc:
                 gi = prefix_graph(g, i)
                 wi = VertexSet(w.mask & gi.full_mask)
                 assert is_vertex_cover(gi, wi), (name, i)
+
+    @pytest.mark.parametrize("n, prob, seed", [(14, 0.3, 1), (15, 0.25, 2), (16, 0.2, 3)])
+    def test_matches_oracle_on_larger_graphs(self, n, prob, seed):
+        g = gnp(n, prob, seed)
+        w = minimum_vertex_cover(g)
+        assert len(w) >= 7
+        assert pmcs_by_vc(g, w).mask_set() == brute_force_pmcs(g).mask_set()
+        assert separators_by_vc(g, w) == brute_force_separators(g)
+
+    def test_any_given_cover(self):
+        g = gnp(9, 0.35, 4)
+        w = minimum_vertex_cover(g)
+        bigger = VertexSet(w.mask | (g.full_mask & ~w.mask & -(g.full_mask & ~w.mask)))
+        assert pmcs_by_vc(g, bigger).mask_set() == brute_force_pmcs(g).mask_set()
+        with pytest.raises(InputError):
+            pmcs_by_vc(path(4), VertexSet.of(0))
 
     def test_members_all_verified(self, quick_corpus):
         from pmckit import is_pmc
