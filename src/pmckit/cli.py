@@ -43,6 +43,9 @@ from .recognition import (
 from .solvers import min_fill_in, treewidth
 from .vc import minimum_vertex_cover, pmcs_by_vc, separators_by_vc
 
+# Largest --jobs accepted; each job is one worker process.
+MAX_JOBS = 64
+
 
 @dataclass
 class RunReport:
@@ -352,10 +355,22 @@ def _add_input_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="gnp seed")
 
 
+def _jobs_count(raw: str) -> int:
+    try:
+        jobs = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {raw!r}") from None
+    if not 1 <= jobs <= MAX_JOBS:
+        raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_JOBS}, got {jobs}")
+    return jobs
+
+
 def _add_run_options(p: argparse.ArgumentParser, method: bool = True) -> None:
     if method:
         p.add_argument("--method", choices=("vc", "mw", "brute"), default="vc")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    p.add_argument("--jobs", type=_jobs_count, default=1,
+                   help=f"worker processes, 1 to {MAX_JOBS} (default 1); used by the subset "
+                        "oracles and the vc separator sweep, while pmcs_by_vc runs serially")
     p.add_argument("--pretty", action="store_true", help="plain-text table instead of JSON")
 
 
@@ -460,10 +475,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-# Exit-code contract: 0 success, 1 verification mismatch, 2 input error.
-run = main
 
 
 def console_main() -> None:

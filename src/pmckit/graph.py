@@ -12,6 +12,10 @@ from .errors import GrParseError, InputError
 # Vertex labels used by the cube generator: two stacked 4-cycles plus rungs.
 CUBE_INDEX = {"a": 0, "b": 1, "c": 2, "d": 3, "e": 4, "f": 5, "g": 6, "h": 7}
 
+# Largest vertex count accepted from a .gr header or a generator parameter,
+# checked before anything of that size is allocated or looped over.
+MAX_VERTICES = 4096
+
 
 @dataclass(frozen=True, slots=True)
 class Graph:
@@ -257,6 +261,9 @@ def generate(family: str, **params) -> Graph:
         raise InputError(f"family {family!r} needs parameters {missing}")
     if extra:
         raise InputError(f"family {family!r} does not take parameters {extra}")
+    n = params["p"] * params["q"] + 2 if family == "watermelon" else params.get("n", 0)
+    if n > MAX_VERTICES:
+        raise InputError(f"family {family!r} would have {n} vertices, above {MAX_VERTICES}")
     return builder(**params)
 
 
@@ -288,6 +295,8 @@ def parse_gr(text: str) -> Graph:
                 raise GrParseError("non-integer header fields", ln) from None
             if n < 0 or m < 0:
                 raise GrParseError("negative header fields", ln)
+            if n > MAX_VERTICES:
+                raise GrParseError(f"{n} vertices, above the limit of {MAX_VERTICES}", ln)
         else:
             if n is None:
                 raise GrParseError("edge line before 'p tw' header", ln)

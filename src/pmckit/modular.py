@@ -4,8 +4,10 @@ The decomposition is a plain recursive partition scheme: split on connected
 components (union node) or co-components (join node); otherwise the maximal
 proper strong modules are assembled from minimal-module closures and the node
 is prime. Enumeration walks the tree bottom-up, combining child results with
-quotient-level results; exhaustive enumeration is only ever invoked on prime
-quotients, which are capped in size.
+quotient-level results, and passes every candidate through the recognizers
+once per node. The only exhaustive step is on prime quotients: the subset
+oracles of the recognition module (brute_force_separators, brute_force_pmcs)
+under PRIME_NODE_CAP, their results expanded to the children's vertex sets.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bitset import VertexSet, canonical_sets, iter_bits
-from .errors import CapExceeded, InputError
+from .errors import InputError
 from .graph import Graph, _components_masks, _graph_from_adj, _nbr_mask
-from .recognition import PmcCatalog, _min_sep_mask, _pmc_mask
+from .recognition import PmcCatalog, _min_sep_mask, _pmc_mask, brute_force_pmcs, brute_force_separators
 
-# Exhaustive enumeration on a prime quotient refuses above this many vertices.
+# The subset oracles refuse a prime quotient above this many vertices.
 PRIME_NODE_CAP = 20
 
 
@@ -204,26 +206,20 @@ def expand_graph(quotient: Graph, modules: Sequence[Graph]) -> tuple[Graph, list
     return _graph_from_adj(total, adj), child_sets
 
 
-def _exhaustive_masks(g: Graph, cap: int, context: str) -> tuple[list[int], list[int]]:
-    if g.n > cap:
-        raise CapExceeded(f"{context}: n={g.n} exceeds cap {cap}")
-    adj = g.adj
-    full = g.full_mask
-    seps = [m for m in range(1 << g.n) if _min_sep_mask(adj, m, full)]
-    pmcs = [m for m in range(1, 1 << g.n) if _pmc_mask(adj, m, full)]
-    return seps, pmcs
+def base_enumerate(quotient: Graph) -> tuple[list[VertexSet], PmcCatalog]:
+    """Exhaustive minimal separators and PMC catalog of a prime quotient.
+
+    Runs the subset oracles under PRIME_NODE_CAP, so a quotient above it
+    raises CapExceeded.
+    """
+    return (brute_force_separators(quotient, cap=PRIME_NODE_CAP),
+            brute_force_pmcs(quotient, cap=PRIME_NODE_CAP))
 
 
-def base_enumerate(quotient: Graph, cap: int = PRIME_NODE_CAP) -> tuple[list[VertexSet], PmcCatalog]:
-    """Exhaustive minimal separators and PMC catalog of a (small) graph."""
-    seps, pmcs = _exhaustive_masks(quotient, cap, "prime-quotient enumeration refused")
-    return canonical_sets(seps), PmcCatalog.from_verified(quotient, pmcs)
-
-
-def _enumerate_node(g: Graph, node: ModuleNode, cap: int) -> tuple[set[int], set[int]]:
+def _enumerate_node(g: Graph, node: ModuleNode) -> tuple[set[int], set[int]]:
     if node.kind == "leaf":
         return set(), {node.vertices.mask}
-    child_results = [_enumerate_node(g, c, cap) for c in node.children]
+    child_results = [_enumerate_node(g, c) for c in node.children]
     space = node.vertices.mask
     sep_cands: set[int] = set()
     pmc_cands: set[int] = set()
@@ -235,20 +231,10 @@ def _enumerate_node(g: Graph, node: ModuleNode, cap: int) -> tuple[set[int], set
         # A complete quotient has no separators and one PMC: everything.
         pmc_cands.add(space)
     else:
-        q_seps, q_pmcs = _exhaustive_masks(
-            node.quotient, cap, "prime-quotient enumeration refused"
-        )
-        child_masks = [c.vertices.mask for c in node.children]
-        for qm in q_seps:
-            mask = 0
-            for i in iter_bits(qm):
-                mask |= child_masks[i]
-            sep_cands.add(mask)
-        for qm in q_pmcs:
-            mask = 0
-            for i in iter_bits(qm):
-                mask |= child_masks[i]
-            pmc_cands.add(mask)
+        q_seps, q_pmcs = base_enumerate(node.quotient)
+        child_sets = [c.vertices for c in node.children]
+        sep_cands.update(expand(s, child_sets).mask for s in q_seps)
+        pmc_cands.update(expand(o, child_sets).mask for o in q_pmcs)
     for child, (child_seps, child_pmcs) in zip(node.children, child_results):
         nh = _nbr_mask(g.adj, child.vertices.mask) & space
         for s in child_seps:
@@ -261,34 +247,21 @@ def _enumerate_node(g: Graph, node: ModuleNode, cap: int) -> tuple[set[int], set
     return seps, pmcs
 
 
-def enumerate_by_mw(
-    g: Graph, tree: ModuleTree | None = None, cap: int = PRIME_NODE_CAP
-) -> tuple[list[VertexSet], PmcCatalog]:
+def enumerate_by_mw(g: Graph, tree: ModuleTree | None = None) -> tuple[list[VertexSet], PmcCatalog]:
     """Minimal separators and PMC catalog of g via its modular decomposition.
 
     At each tree node the candidates are expansions of quotient-level results
     plus each child result padded with the child's outside neighborhood; all
     candidates are verified against the node's induced subgraph, so the final
-    lists are exactly the separators and PMCs of g.
+    lists are exactly the separators and PMCs of g. A prime quotient above
+    PRIME_NODE_CAP raises CapExceeded.
     """
     if tree is None:
         tree = modular_decomposition(g)
     elif tree.graph != g:
         raise InputError("decomposition tree was built for a different graph")
-    seps, pmcs = _enumerate_node(g, tree.root, cap)
+    seps, pmcs = _enumerate_node(g, tree.root)
     return canonical_sets(seps), PmcCatalog.from_verified(g, pmcs)
-
-
-def separators_by_mw(
-    g: Graph, tree: ModuleTree | None = None, cap: int = PRIME_NODE_CAP
-) -> list[VertexSet]:
-    return enumerate_by_mw(g, tree, cap)[0]
-
-
-def pmcs_by_mw(
-    g: Graph, tree: ModuleTree | None = None, cap: int = PRIME_NODE_CAP
-) -> PmcCatalog:
-    return enumerate_by_mw(g, tree, cap)[1]
 
 
 def tree_to_json(t: ModuleTree) -> dict:

@@ -12,7 +12,7 @@ from multiprocessing import Pool
 
 from .bitset import VertexSet, bit_list, canonical_sets, iter_bits
 from .errors import CapExceeded, ContractViolation, InputError
-from .graph import Graph, _components_masks, _components_with_nbrs, _nbr_mask, _validate_subset
+from .graph import Graph, _components_masks, _components_with_nbrs, _validate_subset
 
 # Subset oracles refuse graphs above this size unless told otherwise.
 DEFAULT_ORACLE_CAP = 16
@@ -80,15 +80,12 @@ def is_minimal_uv_separator(g: Graph, s: VertexSet, u: int, v: int) -> bool:
     _validate_subset(g, s)
     if u == v or u in s or v in s:
         return False
-    comp_u = comp_v = 0
-    for comp in _components_masks(g.adj, g.full_mask & ~s.mask):
-        if (comp >> u) & 1:
-            comp_u = comp
-        if (comp >> v) & 1:
-            comp_v = comp
-    if comp_u == comp_v:
-        return False
-    return (_nbr_mask(g.adj, comp_u) == s.mask) and (_nbr_mask(g.adj, comp_v) == s.mask)
+    # u and v lie outside s, so each is in exactly one component of g - s.
+    sides = [
+        nb for comp, nb in _components_with_nbrs(g.adj, g.full_mask & ~s.mask)
+        if (comp >> u) & 1 or (comp >> v) & 1
+    ]
+    return len(sides) == 2 and sides[0] == sides[1] == s.mask
 
 
 def pmc_separators(g: Graph, omega: VertexSet) -> list[VertexSet]:

@@ -5,8 +5,10 @@ whole graph: 3^|W| three-partitions for minimal separators and 4^|W|
 four-partitions (plus a pair choice) for PMCs with an active separator. The
 walks go depth-first over the cover vertices and carry OR-ed masks of the
 non-cover vertices each side sees, so a leaf costs a few bitwise operations.
-The full PMC catalog adds each separator plus one vertex. Every candidate is
-verified by the recognizers, so each stage may over-generate freely.
+The full PMC catalog adds each separator plus one vertex to the
+active-separator candidates. Each route has one recognizer filter: the
+separator sweep keeps what passes _min_sep_mask, and the PMC candidates go
+once through PmcCatalog.collect, so each stage may over-generate freely.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .bitset import VertexSet, canonical_sets, iter_bits
 from .errors import InputError
 from .graph import Graph, _components_masks, _validate_subset
 from .graph import prefix_graph  # noqa: F401  (bench/tracing.py wraps this name)
-from .recognition import PmcCatalog, _min_sep_mask, _pmc_mask
+from .recognition import PmcCatalog, _min_sep_mask
 
 
 class ThreePartition(NamedTuple):
@@ -168,7 +170,7 @@ def _sep_masks_by_vc(g: Graph, wmask: int, jobs: int = 1) -> list[int]:
             for part in pool.map(_sep_walk, [(st, cover[head:]) for st in states]):
                 cands |= part
     full = g.full_mask
-    return sorted(m for m in cands if _min_sep_mask(adj, m, full))
+    return [m for m in cands if _min_sep_mask(adj, m, full)]
 
 
 def separators_by_vc(g: Graph, w: VertexSet, jobs: int = 1) -> list[VertexSet]:
@@ -229,13 +231,12 @@ def _pmc_walk(adj: tuple[int, ...], wmask: int) -> set[int]:
     return out
 
 
-def _active_pmc_masks(g: Graph, wmask: int, sep_masks) -> set[int]:
-    """Verified PMC masks covering every PMC of g that has an active separator.
+def _active_pmc_candidates(g: Graph, wmask: int, sep_masks) -> set[int]:
+    """PMC candidates, unfiltered, covering every PMC of g that has an active separator.
 
-    Three generation routes, all then filtered by the recognizer: closed
-    neighborhoods N[t]; separator extensions S + (N(t) & C) for each
-    enumerated separator S, vertex t and component C of g - S; and the
-    four-partition candidates of the cover (see _pmc_walk).
+    Three generation routes: closed neighborhoods N[t]; separator extensions
+    S + (N(t) & C) for each enumerated separator S, vertex t and component C
+    of g - S; and the four-partition candidates of the cover (see _pmc_walk).
     """
     adj = g.adj
     full = g.full_mask
@@ -250,14 +251,14 @@ def _active_pmc_masks(g: Graph, wmask: int, sep_masks) -> set[int]:
                 inside = nt & c
                 if inside:
                     cands.add(s | inside)
-    return {m for m in cands if m and _pmc_mask(adj, m, full)}
+    return cands
 
 
 def active_pmcs_by_vc(g: Graph, w: VertexSet) -> PmcCatalog:
     """A verified catalog containing every PMC of g that has an active separator."""
     _require_cover(g, w)
     seps = _sep_masks_by_vc(g, w.mask)
-    return PmcCatalog.from_verified(g, _active_pmc_masks(g, w.mask, seps))
+    return PmcCatalog.collect(g, _active_pmc_candidates(g, w.mask, seps))
 
 
 def pmcs_by_vc(g: Graph, cover: VertexSet | None = None) -> PmcCatalog:
@@ -266,9 +267,10 @@ def pmcs_by_vc(g: Graph, cover: VertexSet | None = None) -> PmcCatalog:
     By the structural lemma of Bouchitté and Todinca ("Listing all potential
     maximal cliques of a graph", TCS 2002), a PMC with no active separator is
     a minimal separator plus one vertex, S + {x}, or a closed neighborhood
-    N[x]. So the catalog is the verified union of the active-separator PMCs
-    (which include every N[x]) and every S + {x}, with S from the
-    three-partition sweep of the cover. The cover defaults to a minimum one.
+    N[x]. So the catalog is the active-separator candidates (which include
+    every N[x]) together with every S + {x}, with S from the three-partition
+    sweep of the cover, passed once through the recognizer. The cover
+    defaults to a minimum one.
     """
     if g.n == 0:
         raise InputError("graph must be nonempty")
@@ -276,10 +278,8 @@ def pmcs_by_vc(g: Graph, cover: VertexSet | None = None) -> PmcCatalog:
         cover = minimum_vertex_cover(g)
     else:
         _require_cover(g, cover)
-    adj = g.adj
     full = g.full_mask
     seps = _sep_masks_by_vc(g, cover.mask)
-    cands = _active_pmc_masks(g, cover.mask, seps)
-    extra = {s | (1 << x) for s in seps for x in iter_bits(full & ~s)}
-    cands.update(m for m in extra - cands if _pmc_mask(adj, m, full))
-    return PmcCatalog.from_verified(g, cands)
+    cands = _active_pmc_candidates(g, cover.mask, seps)
+    cands.update(s | (1 << x) for s in seps for x in iter_bits(full & ~s))
+    return PmcCatalog.collect(g, cands)

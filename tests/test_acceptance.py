@@ -32,7 +32,6 @@ from pmckit import (
     minimum_vertex_cover,
     path,
     pmc_separators,
-    pmcs_by_mw,
     pmcs_by_vc,
     separators_by_vc,
     watermelon,
@@ -120,7 +119,7 @@ def test_criterion_2_cube_fixtures():
         g = cube()
         omega1 = cube_set("aegch")
         omega2 = cube_set("acfh")
-        for catalog in (pmcs_by_vc(g), pmcs_by_mw(g)):
+        for catalog in (pmcs_by_vc(g), enumerate_by_mw(g)[1]):
             assert omega1 in catalog
             assert omega2 in catalog
         assert pmc_separators(g, omega1) == [cube_set("aegc"), cube_set("ahc")]

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 import pmckit.cli
 import pmckit.modular
+import pmckit.recognition
 import pmckit.vc
 from pmckit import cube, parse_gr
 from pmckit.cli import main
@@ -163,6 +165,32 @@ class TestExitCodes:
         assert main(["--help"]) == 0
 
 
+class TestInputGuards:
+    @pytest.mark.parametrize("jobs", ["0", "-3", "100000"])
+    @pytest.mark.parametrize("argv", [
+        ["enum", "seps", "--family", "cube", "--method", "vc"],
+        ["enum", "pmcs", "--family", "cube", "--method", "brute"],
+        ["verify", "--family", "cube"],
+    ])
+    def test_jobs_out_of_range_starts_no_pool(self, capsys, monkeypatch, argv, jobs):
+        started = []
+
+        def no_pool(*args, **kwargs):
+            started.append(kwargs)
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(pmckit.vc, "Pool", no_pool)
+        monkeypatch.setattr(pmckit.recognition, "Pool", no_pool)
+        assert main(argv + ["--jobs", jobs]) == 2
+        assert started == []
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_generated_vertex_limit(self, capsys):
+        assert main(["gen", "--family", "gnp", "--n", "10000000", "--prob", "0.5", "--seed", "1"]) == 2
+        assert main(["gen", "--family", "watermelon", "--p", "100000", "--q", "3"]) == 2
+        assert "4096" in capsys.readouterr().err
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -179,6 +207,38 @@ class TestDeterminism:
         _, first = run_cli(capsys, argv)
         _, second = run_cli(capsys, argv)
         assert first == second
+
+    # sha256 of the JSON output, pinned so that a refactor cannot change it.
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["enum", "seps", "--family", "cube", "--method", "vc"],
+             "0eb11adb471d363025946a436208f48aec7b32e102850d39bd53e7e0746cda5b"),
+            (["enum", "seps", "--family", "cube", "--method", "mw"],
+             "e78e969df1d7d28d2bdb38d1303cdf94cd5327c5e9789783f45fe628f5c8c2a4"),
+            (["enum", "seps", "--family", "cube", "--method", "brute"],
+             "8e9f43f783cee95400f0c16814acef4476539ed5068be4281215a4883ba9a9e8"),
+            (["enum", "pmcs", "--family", "cube", "--method", "vc"],
+             "b335f6d7a3bbe5f88446c1c33fe7bdeebfa0fa46670f284650d321855350b898"),
+            (["enum", "pmcs", "--family", "cube", "--method", "mw"],
+             "1d52ed2008da6d95c186ac11342a719afd0e9b49b52db9e2198450548e7a4c8e"),
+            (["enum", "pmcs", "--family", "cube", "--method", "brute"],
+             "2ee88b7bb64af22b756ce4e42b46dc43872d775b5d3d80f4dec88899d483fda6"),
+            (["enum", "pmcs", "--family", "gnp", "--n", "13", "--prob", "0.3", "--seed", "2",
+              "--method", "vc"],
+             "24a8661b9858d3ef74abd55c9d3c2a51394595b39c47ff494535c98a7beeda2a"),
+            (["solve", "tw", "--family", "cube"],
+             "e3d32e384fdafb3c939f288ef85cf9b8b1de1c08af979d4cccfdb97d2511f1d0"),
+            (["solve", "tw", "--family", "cube", "--method", "mw"],
+             "22f0d6c77c84502eca960e6a8795f8c8005cfaf34e785f98530062c1c6d26d4f"),
+            (["solve", "fillin", "--family", "cube", "--method", "mw"],
+             "48b5aaba77fc60f14a0ca656eb893258098b5aa663368f3eff3f7afbc766e550"),
+        ],
+    )
+    def test_golden_output(self, capsys, argv, digest):
+        code, out = run_cli(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_bench_deterministic_modulo_timings(self, capsys):
         argv = ["bench", "--family", "cube", "--method", "mw"]

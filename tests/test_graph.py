@@ -195,6 +195,7 @@ class TestGrFormat:
             ("p foo 2 1\n1 2\n", 1),         # wrong descriptor
             ("p tw x 1\n", 1),               # non-integer
             ("p tw 2 1\n1 2 3\n", 2),        # bad edge line
+            ("p tw 10000000000 0\n", 1),     # above MAX_VERTICES, refused before allocating
         ],
     )
     def test_parse_errors_carry_line(self, text, line):

@@ -23,8 +23,6 @@ from pmckit import (
     modular_decomposition,
     modular_width,
     path,
-    pmcs_by_mw,
-    separators_by_mw,
     tree_to_json,
 )
 from pmckit.bitset import iter_bits
@@ -240,13 +238,13 @@ class TestBaseEnumerate:
 class TestEnumerationByMw:
     def test_join_of_two_edges_is_complete(self):
         g, _ = expand_graph(complete(2), [complete(2), complete(2)])
-        assert separators_by_mw(g) == []
-        assert pmcs_by_mw(g).to_lists() == [[0, 1, 2, 3]]
+        assert enumerate_by_mw(g)[0] == []
+        assert enumerate_by_mw(g)[1].to_lists() == [[0, 1, 2, 3]]
 
     def test_union_of_triangles(self):
         g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        assert separators_by_mw(g) == [VertexSet()]
-        assert pmcs_by_mw(g).to_lists() == [[0, 1, 2], [3, 4, 5]]
+        assert enumerate_by_mw(g)[0] == [VertexSet()]
+        assert enumerate_by_mw(g)[1].to_lists() == [[0, 1, 2], [3, 4, 5]]
 
     def test_cube_falls_through_to_base(self, cube_graph):
         seps, catalog = enumerate_by_mw(cube_graph)

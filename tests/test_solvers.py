@@ -18,11 +18,11 @@ from pmckit import (
     complete,
     cycle,
     empty_graph,
+    enumerate_by_mw,
     gnp,
     min_fill_in,
     minimum_vertex_cover,
     path,
-    pmcs_by_mw,
     pmcs_by_vc,
     treewidth,
 )
@@ -114,7 +114,7 @@ class TestDynamicProgram:
         assert min_fill_in(c6, cat) == 3
 
     def test_cube_both_catalog_routes(self, cube_graph):
-        for catalog in (pmcs_by_vc(cube_graph), pmcs_by_mw(cube_graph)):
+        for catalog in (pmcs_by_vc(cube_graph), enumerate_by_mw(cube_graph)[1]):
             assert treewidth(cube_graph, catalog) == 3
             assert min_fill_in(cube_graph, catalog) == brute_force_fill_in(cube_graph)
 
