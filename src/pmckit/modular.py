@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bitset import VertexSet, canonical_sets, iter_bits
-from .errors import InputError
+from .errors import CapExceeded, InputError
 from .graph import Graph, _components_masks, _graph_from_adj, _nbr_mask
 from .recognition import PmcCatalog, _min_sep_mask, _pmc_mask, brute_force_pmcs, brute_force_separators
 
@@ -44,24 +44,6 @@ class ModuleNode:
 class ModuleTree:
     graph: Graph
     root: ModuleNode
-
-
-def _co_components_masks(adj: tuple[int, ...], space: int) -> list[int]:
-    """Connected components of the complement of the subgraph induced on ``space``."""
-    comps = []
-    rem = space
-    while rem:
-        comp = rem & -rem
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= space & ~adj[v] & ~(1 << v)
-            frontier = nxt & rem & ~comp
-            comp |= frontier
-        comps.append(comp)
-        rem &= ~comp
-    return comps
 
 
 def _module_closure(adj: tuple[int, ...], space: int, seed: int) -> int:
@@ -108,24 +90,24 @@ def _prime_partition(adj: tuple[int, ...], space: int) -> list[int]:
     return parts
 
 
-def _decompose(g: Graph, space: int) -> ModuleNode:
+def _decompose(g: Graph, co_adj: tuple[int, ...], space: int) -> ModuleNode:
     if space & (space - 1) == 0:
         return ModuleNode(kind="leaf", vertices=VertexSet(space))
     comps = _components_masks(g.adj, space)
     if len(comps) > 1:
-        children = tuple(_decompose(g, c) for c in comps)
+        children = tuple(_decompose(g, co_adj, c) for c in comps)
         quotient = _graph_from_adj(len(children), [0] * len(children))
         return ModuleNode("union", VertexSet(space), children, quotient)
-    co_comps = _co_components_masks(g.adj, space)
+    co_comps = _components_masks(co_adj, space)
     if len(co_comps) > 1:
-        children = tuple(_decompose(g, c) for c in co_comps)
+        children = tuple(_decompose(g, co_adj, c) for c in co_comps)
         p = len(children)
         full = (1 << p) - 1
         quotient = _graph_from_adj(p, [full & ~(1 << i) for i in range(p)])
         return ModuleNode("join", VertexSet(space), children, quotient)
     parts = _prime_partition(g.adj, space)
     assert len(parts) >= 2, "prime split of a connected, co-connected graph"
-    children = tuple(_decompose(g, part) for part in parts)
+    children = tuple(_decompose(g, co_adj, part) for part in parts)
     reps = [part & -part for part in parts]
     adj_q = [0] * len(parts)
     for i, rep in enumerate(reps):
@@ -140,7 +122,9 @@ def modular_decomposition(g: Graph) -> ModuleTree:
     """Modular decomposition tree of a nonempty graph."""
     if g.n == 0:
         raise InputError("graph must be nonempty")
-    return ModuleTree(graph=g, root=_decompose(g, g.full_mask))
+    full = g.full_mask
+    co_adj = tuple(full & ~a & ~(1 << v) for v, a in enumerate(g.adj))
+    return ModuleTree(graph=g, root=_decompose(g, co_adj, full))
 
 
 def modular_width(t: ModuleTree) -> int:
@@ -212,8 +196,12 @@ def base_enumerate(quotient: Graph) -> tuple[list[VertexSet], PmcCatalog]:
     Runs the subset oracles under PRIME_NODE_CAP, so a quotient above it
     raises CapExceeded.
     """
-    return (brute_force_separators(quotient, cap=PRIME_NODE_CAP),
-            brute_force_pmcs(quotient, cap=PRIME_NODE_CAP))
+    try:
+        return (brute_force_separators(quotient, cap=PRIME_NODE_CAP),
+                brute_force_pmcs(quotient, cap=PRIME_NODE_CAP))
+    except CapExceeded:
+        raise CapExceeded(f"mw route refused: prime quotient has n={quotient.n}, "
+                          f"above PRIME_NODE_CAP {PRIME_NODE_CAP}") from None
 
 
 def _enumerate_node(g: Graph, node: ModuleNode) -> tuple[set[int], set[int]]:

@@ -1,18 +1,21 @@
 """Exact treewidth and minimum fill-in from a complete PMC catalog, plus oracles.
 
-The solvers run the standard block dynamic program: a block is a minimal
-separator S together with a full component C of g - S, and each block is
-resolved by scanning the catalog for cliques Omega with S strictly inside
-Omega inside S + C. Blocks are processed by increasing (|S + C|, |C|), which
-every recursive dependency strictly decreases, so a single bottom-up pass
-suffices. The oracles search every vertex elimination order instead; the
-graph reached after eliminating a set does not depend on the order within the
-set, so the search memoizes on subsets and stays exact.
+Both solvers run one block dynamic program (Bouchitté and Todinca, SIAM J.
+Comput. 2001). A block is a minimal separator S with a full component C of
+g - S. Each PMC Omega is indexed once under every block it resolves (S
+strictly inside Omega inside S + C), one per component of g - Omega, so a
+block folds only its own PMCs. Blocks are processed by increasing
+(|S + C|, |C|), which every recursive dependency strictly decreases, so a
+single bottom-up pass suffices. The oracles search every vertex elimination
+order instead; the graph reached after eliminating a set does not depend on
+the order within the set, so the search memoizes on subsets and stays exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
+from operator import add
 
 from .bitset import VertexSet, iter_bits
 from .errors import CapExceeded, InputError
@@ -73,39 +76,52 @@ def dp_blocks(g: Graph, catalog: PmcCatalog) -> list[Block]:
     ]
 
 
-def treewidth(g: Graph, catalog: PmcCatalog) -> int:
-    """Exact treewidth of a connected graph given its complete PMC catalog."""
+def _block_dp(g: Graph, catalog: PmcCatalog, step, fold) -> int:
+    """Minimum over the catalog's block trees of the steps combined by fold.
+
+    For each component D of g - Omega, Omega resolves the block (S, C) with
+    S = N(D) and C the full component of S holding Omega - S: g - S minus
+    every component of g - Omega whose neighborhood lies inside S. A block
+    folds step(Omega, S) with Omega's pieces inside C, minimized over its
+    Omega; the root does the same over every Omega with S empty.
+    """
     _check_solver_input(g, catalog)
     entries = _catalog_entries(g, catalog)
-    val: dict[tuple[int, int], float] = {}
-    for s, c in _block_order(entries):
-        lim = s | c
-        best = _INF
-        for om, pieces in entries:
-            if (s & ~om) or not (om & ~s) or (om & ~lim):
-                continue
-            cur: float = om.bit_count() - 1
-            for nb2, c2 in pieces:
-                if c2 & ~c:
-                    continue
-                sub = val[(nb2, c2)]
-                if sub > cur:
-                    cur = sub
-            if cur < best:
-                best = cur
-        val[(s, c)] = best
-    answer = _INF
+    full = g.full_mask
+    index: dict[tuple[int, int], dict[int, tuple]] = {}
     for om, pieces in entries:
-        cur: float = om.bit_count() - 1
-        for piece in pieces:
-            sub = val[piece]
-            if sub > cur:
-                cur = sub
-        if cur < answer:
-            answer = cur
+        for s, _ in pieces:
+            c = full & ~s
+            for nb, comp in pieces:
+                if not nb & ~s:
+                    c &= ~comp
+            resolves = index.setdefault((s, c), {})
+            if om not in resolves:
+                resolves[om] = tuple(p for p in pieces if not p[1] & ~c)
+
+    val: dict[tuple[int, int], float] = {}
+
+    def best(s: int, choices) -> float:
+        out = _INF
+        for om, pieces in choices:
+            cur = step(om, s)
+            for piece in pieces:
+                cur = fold(cur, val[piece])
+            if cur < out:
+                out = cur
+        return out
+
+    for block in _block_order(entries):
+        val[block] = best(block[0], index.get(block, {}).items())
+    answer = best(0, entries)
     if answer == _INF:
         raise InputError("PMC catalog is incomplete for this graph")
     return int(answer)
+
+
+def treewidth(g: Graph, catalog: PmcCatalog) -> int:
+    """Exact treewidth of a connected graph given its complete PMC catalog."""
+    return _block_dp(g, catalog, lambda om, s: om.bit_count() - 1, max)
 
 
 def _fill_pairs(adj: tuple[int, ...], xmask: int) -> int:
@@ -118,45 +134,14 @@ def _fill_pairs(adj: tuple[int, ...], xmask: int) -> int:
 
 def min_fill_in(g: Graph, catalog: PmcCatalog) -> int:
     """Exact minimum fill-in of a connected graph given its complete PMC catalog."""
-    _check_solver_input(g, catalog)
-    adj = g.adj
-    entries = _catalog_entries(g, catalog)
-    fill_cache: dict[int, int] = {}
+    fill = cache(partial(_fill_pairs, g.adj))
 
-    def fill(mask: int) -> int:
-        got = fill_cache.get(mask)
-        if got is None:
-            got = fill_cache[mask] = _fill_pairs(adj, mask)
-        return got
+    def step(om: int, s: int) -> int:
+        added = fill(om) - fill(s)
+        assert added >= 0, "completing a superset never removes missing pairs"
+        return added
 
-    val: dict[tuple[int, int], float] = {}
-    for s, c in _block_order(entries):
-        lim = s | c
-        fs = fill(s)
-        best = _INF
-        for om, pieces in entries:
-            if (s & ~om) or not (om & ~s) or (om & ~lim):
-                continue
-            step = fill(om) - fs
-            assert step >= 0, "completing a superset never removes missing pairs"
-            cur: float = step
-            for nb2, c2 in pieces:
-                if c2 & ~c:
-                    continue
-                cur += val[(nb2, c2)]
-            if cur < best:
-                best = cur
-        val[(s, c)] = best
-    answer = _INF
-    for om, pieces in entries:
-        cur: float = fill(om)
-        for piece in pieces:
-            cur += val[piece]
-        if cur < answer:
-            answer = cur
-    if answer == _INF:
-        raise InputError("PMC catalog is incomplete for this graph")
-    return int(answer)
+    return _block_dp(g, catalog, step, add)
 
 
 # ---------------------------------------------------------------------------
@@ -167,22 +152,14 @@ def _fill_adjacency(adj: tuple[int, ...], n: int, eliminated: int) -> list[int]:
     """Adjacency among surviving vertices after eliminating a set, as masks.
 
     Two survivors are adjacent iff they are adjacent in the input graph or
-    joined by a path whose interior lies in the eliminated set.
+    both border one component of the eliminated set. Entries of eliminated
+    vertices are not meaningful.
     """
     alive = ((1 << n) - 1) & ~eliminated
-    fa = [0] * n
-    for v in iter_bits(alive):
-        acc = adj[v]
-        seen = 0
-        frontier = adj[v] & eliminated
-        while frontier:
-            seen |= frontier
-            nxt = 0
-            for b in iter_bits(frontier):
-                nxt |= adj[b]
-            acc |= nxt
-            frontier = nxt & eliminated & ~seen
-        fa[v] = acc & alive & ~(1 << v)
+    fa = [a & alive for a in adj]
+    for _, nb in _components_with_nbrs(adj, eliminated):
+        for v in iter_bits(nb):
+            fa[v] |= nb & ~(1 << v)
     return fa
 
 

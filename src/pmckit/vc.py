@@ -5,8 +5,9 @@ whole graph: 3^|W| three-partitions for minimal separators and 4^|W|
 four-partitions (plus a pair choice) for PMCs with an active separator. The
 walks go depth-first over the cover vertices and carry OR-ed masks of the
 non-cover vertices each side sees, so a leaf costs a few bitwise operations.
-The full PMC catalog adds each separator plus one vertex to the
-active-separator candidates. Each route has one recognizer filter: the
+The candidates for PMCs with an active separator are the four-partition
+candidates plus every closed neighborhood N[x]; the full PMC catalog adds
+each separator plus one vertex. Each route has one recognizer filter: the
 separator sweep keeps what passes _min_sep_mask, and the PMC candidates go
 once through PmcCatalog.collect, so each stage may over-generate freely.
 """
@@ -19,7 +20,7 @@ from typing import Iterator, NamedTuple
 
 from .bitset import VertexSet, canonical_sets, iter_bits
 from .errors import InputError
-from .graph import Graph, _components_masks, _validate_subset
+from .graph import Graph, _validate_subset
 from .graph import prefix_graph  # noqa: F401  (bench/tracing.py wraps this name)
 from .recognition import PmcCatalog, _min_sep_mask
 
@@ -231,34 +232,22 @@ def _pmc_walk(adj: tuple[int, ...], wmask: int) -> set[int]:
     return out
 
 
-def _active_pmc_candidates(g: Graph, wmask: int, sep_masks) -> set[int]:
+def _active_pmc_candidates(g: Graph, wmask: int) -> set[int]:
     """PMC candidates, unfiltered, covering every PMC of g that has an active separator.
 
-    Three generation routes: closed neighborhoods N[t]; separator extensions
-    S + (N(t) & C) for each enumerated separator S, vertex t and component C
-    of g - S; and the four-partition candidates of the cover (see _pmc_walk).
+    Two generation routes: the four-partition candidates of the cover (see
+    _pmc_walk) and the closed neighborhoods N[t].
     """
     adj = g.adj
-    full = g.full_mask
-    n = g.n
     cands = _pmc_walk(adj, wmask)
-    cands.update(adj[t] | (1 << t) for t in range(n))
-    for s in sep_masks:
-        comps = _components_masks(adj, full & ~s)
-        for t in range(n):
-            nt = adj[t]
-            for c in comps:
-                inside = nt & c
-                if inside:
-                    cands.add(s | inside)
+    cands.update(a | (1 << t) for t, a in enumerate(adj))
     return cands
 
 
 def active_pmcs_by_vc(g: Graph, w: VertexSet) -> PmcCatalog:
     """A verified catalog containing every PMC of g that has an active separator."""
     _require_cover(g, w)
-    seps = _sep_masks_by_vc(g, w.mask)
-    return PmcCatalog.collect(g, _active_pmc_candidates(g, w.mask, seps))
+    return PmcCatalog.collect(g, _active_pmc_candidates(g, w.mask))
 
 
 def pmcs_by_vc(g: Graph, cover: VertexSet | None = None) -> PmcCatalog:
@@ -280,6 +269,6 @@ def pmcs_by_vc(g: Graph, cover: VertexSet | None = None) -> PmcCatalog:
         _require_cover(g, cover)
     full = g.full_mask
     seps = _sep_masks_by_vc(g, cover.mask)
-    cands = _active_pmc_candidates(g, cover.mask, seps)
+    cands = _active_pmc_candidates(g, cover.mask)
     cands.update(s | (1 << x) for s in seps for x in iter_bits(full & ~s))
     return PmcCatalog.collect(g, cands)

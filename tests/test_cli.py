@@ -190,6 +190,14 @@ class TestInputGuards:
         assert main(["gen", "--family", "watermelon", "--p", "100000", "--q", "3"]) == 2
         assert "4096" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["solve", "tw"], ["enum", "pmcs"]])
+    def test_mw_prime_quotient_over_cap(self, capsys, argv):
+        # watermelon(8,3) is prime: its quotient is the whole 26-vertex graph
+        code = main(argv + ["--family", "watermelon", "--p", "8", "--q", "3", "--method", "mw"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: mw route refused: prime quotient has n=26, above PRIME_NODE_CAP 20\n"
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -233,6 +241,13 @@ class TestDeterminism:
              "22f0d6c77c84502eca960e6a8795f8c8005cfaf34e785f98530062c1c6d26d4f"),
             (["solve", "fillin", "--family", "cube", "--method", "mw"],
              "48b5aaba77fc60f14a0ca656eb893258098b5aa663368f3eff3f7afbc766e550"),
+            (["solve", "fillin", "--family", "gnp", "--n", "13", "--prob", "0.3", "--seed", "2",
+              "--method", "vc"],
+             "38ddebbd0c229fa232f232f7db2aed70a0f877a99ca8a28085a61fd89ab3575c"),
+            (["solve", "tw", "--family", "watermelon", "--p", "4", "--q", "3", "--method", "vc"],
+             "eba1a28d3a57bb88b4450ba1ebef5a0da892753c6232ca4dfde4e208c0ac90f8"),
+            (["solve", "fillin", "--family", "watermelon", "--p", "4", "--q", "3", "--method", "mw"],
+             "a53498f922cb545bcb50ace635a1f15f17f3a22ab26a623a6a181fa5ea18f971"),
         ],
     )
     def test_golden_output(self, capsys, argv, digest):

@@ -25,6 +25,7 @@ from pmckit import (
     path,
     pmcs_by_vc,
     treewidth,
+    watermelon,
 )
 from pmckit.bitset import iter_bits
 from pmckit.cli import solve_value
@@ -143,6 +144,17 @@ class TestDynamicProgram:
                 want = brute_force_fill_in(g)
                 assert solve_value(g, "fillin", "vc") == want, name
                 assert solve_value(g, "fillin", "mw") == want, name
+
+    # The hub separators of these watermelons have three or more full
+    # components, so one block is reached through several pieces of a PMC.
+    @pytest.mark.parametrize("p, q", [(3, 1), (3, 2), (4, 2)])
+    def test_matches_oracles_on_watermelons(self, p, q):
+        g = watermelon(p, q)
+        want_tw = brute_force_treewidth(g, cap=g.n)
+        want_fill = brute_force_fill_in(g, cap=g.n)
+        for catalog in (pmcs_by_vc(g), enumerate_by_mw(g)[1]):
+            assert treewidth(g, catalog) == want_tw
+            assert min_fill_in(g, catalog) == want_fill
 
     def test_treewidth_bounded_by_cover(self, quick_corpus):
         for name, g in quick_corpus:
