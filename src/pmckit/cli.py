@@ -125,9 +125,10 @@ def _enumerate_separators(g: Graph, method: str, jobs: int, basis) -> list[Verte
     return brute_force_separators(g, cap=_env_oracle_cap(), jobs=jobs)
 
 
-def _enumerate_pmcs(g: Graph, method: str, jobs: int, basis) -> PmcCatalog:
+def _enumerate_pmcs(g: Graph, method: str, jobs: int, basis, seps=None) -> PmcCatalog:
+    """The route's PMC catalog; the vc route reuses ``seps``, g's separators, when given."""
     if method == "vc":
-        return pmcs_by_vc(g, basis)
+        return pmcs_by_vc(g, basis, separators=seps)
     if method == "mw":
         return enumerate_by_mw(g, basis)[1]
     return brute_force_pmcs(g, cap=_env_oracle_cap(), jobs=jobs)
@@ -195,7 +196,7 @@ def _cmd_count(args) -> tuple[RunReport, int]:
         seps, catalog = enumerate_by_mw(g, basis)  # one pass gives both
     else:
         seps = _enumerate_separators(g, args.method, args.jobs, basis) if want_seps else None
-        catalog = _enumerate_pmcs(g, args.method, args.jobs, basis) if want_pmcs else None
+        catalog = _enumerate_pmcs(g, args.method, args.jobs, basis, seps) if want_pmcs else None
     counts: dict = {}
     if want_seps:
         counts["separators"] = len(seps)
@@ -251,12 +252,13 @@ def _cmd_verify(args) -> tuple[RunReport, int]:
         cover = minimum_vertex_cover(g)
         tree = modular_decomposition(g)
         mw_seps, mw_cat = enumerate_by_mw(g, tree)
+        vc_seps = separators_by_vc(g, cover, jobs=args.jobs)
         sep_sets = {
-            "vc": {vs.mask for vs in separators_by_vc(g, cover, jobs=args.jobs)},
+            "vc": {vs.mask for vs in vc_seps},
             "mw": {vs.mask for vs in mw_seps},
         }
         pmc_sets = {
-            "vc": set(pmcs_by_vc(g, cover).mask_set()),
+            "vc": set(pmcs_by_vc(g, cover, separators=vc_seps).mask_set()),
             "mw": set(mw_cat.mask_set()),
         }
         oracle = "included"

@@ -1,63 +1,30 @@
 """Vertex-cover computation and cover-parameterized enumeration of separators and PMCs.
 
 The enumerators walk partition spaces of a vertex cover W, once each, on the
-whole graph: 3^|W| three-partitions for minimal separators and 4^|W|
+whole graph: the three-partitions of W for minimal separators and its
 four-partitions (plus a pair choice) for PMCs with an active separator. The
-walks go depth-first over the cover vertices and carry OR-ed masks of the
-non-cover vertices each side sees, so a leaf costs a few bitwise operations.
-The candidates for PMCs with an active separator are the four-partition
-candidates plus every closed neighborhood N[x]; the full PMC catalog adds
-each separator plus one vertex. Each route has one recognizer filter: the
-separator sweep keeps what passes _min_sep_mask, and the PMC candidates go
-once through PmcCatalog.collect, so each stage may over-generate freely.
+walks go depth-first over the cover vertices and carry OR-ed masks of each
+side's cover vertices and the non-cover vertices it sees, so a leaf costs a
+few bitwise operations. They never put a cover vertex on a side that holds
+one of its cover neighbours: every side they need lies in components of
+G - S or G - Omega that no edge joins, so 3^|W| and 4^|W| are only upper
+bounds on the partitions visited. The candidates for PMCs with an active
+separator are the four-partition candidates plus every closed neighborhood
+N[x]; the full PMC catalog adds each separator plus one vertex. Each route
+has one recognizer filter: the separator sweep keeps what passes
+_min_sep_mask, and the PMC candidates go once through PmcCatalog.collect, so
+each stage may over-generate freely.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from multiprocessing import Pool
-from typing import Iterator, NamedTuple
 
 from .bitset import VertexSet, canonical_sets, iter_bits
 from .errors import InputError
 from .graph import Graph, _validate_subset
 from .graph import prefix_graph  # noqa: F401  (bench/tracing.py wraps this name)
 from .recognition import PmcCatalog, _min_sep_mask
-
-
-class ThreePartition(NamedTuple):
-    """Split of a vertex cover into two component sides and a separator part (bitmasks)."""
-
-    d1: int
-    sep: int
-    d2: int
-
-
-class FourPartition(NamedTuple):
-    """Split of a vertex cover into far side, x-side, y-side and clique part (bitmasks)."""
-
-    ds: int
-    dx: int
-    dy: int
-    om: int
-
-
-def three_partitions(wmask: int) -> Iterator[ThreePartition]:
-    bits = [1 << v for v in iter_bits(wmask)]
-    for assign in product(range(3), repeat=len(bits)):
-        parts = [0, 0, 0]
-        for b, a in zip(bits, assign):
-            parts[a] |= b
-        yield ThreePartition(*parts)
-
-
-def four_partitions(wmask: int) -> Iterator[FourPartition]:
-    bits = [1 << v for v in iter_bits(wmask)]
-    for assign in product(range(4), repeat=len(bits)):
-        parts = [0, 0, 0, 0]
-        for b, a in zip(bits, assign):
-            parts[a] |= b
-        yield FourPartition(*parts)
 
 
 def is_vertex_cover(g: Graph, w: VertexSet) -> bool:
@@ -117,20 +84,32 @@ def minimum_vertex_cover(g: Graph) -> VertexSet:
     return VertexSet(best_mask)
 
 
-def _cover_sees(adj: tuple[int, ...], wmask: int) -> list[tuple[int, int]]:
-    """(bit, sees) per cover vertex w: its own bit and the non-cover vertices adjacent to it."""
+def _cover_sees(adj: tuple[int, ...], wmask: int) -> list[tuple[int, int, int]]:
+    """(bit, side, nbrs) per cover vertex w.
+
+    bit is w's own bit, side is bit plus the non-cover vertices adjacent to
+    w (what w adds to a side), and nbrs is w's cover neighbours.
+    """
     outside = ~wmask
-    return [(1 << w, adj[w] & outside) for w in iter_bits(wmask)]
+    return [(1 << w, (1 << w) | adj[w] & outside, adj[w] & wmask) for w in iter_bits(wmask)]
 
 
 def _sep_walk(task) -> set[int]:
     """Separator candidates of every three-partition that extends one partial one.
 
     A task is (state, rest). The state (sep, s1, s2) assigns the first cover
-    vertices: sep holds those in the separator part, s1 and s2 the non-cover
-    vertices that see D1 and D2. The walk assigns each (bit, sees) of rest
-    depth-first, OR-ing it into one of the three, and at a leaf the candidate
-    is the separator part plus the vertices that see both sides.
+    vertices: sep holds those in the separator part, s1 and s2 the cover
+    vertices of D1 and D2 and the non-cover vertices that see them. The walk
+    assigns each (bit, side, nbrs) of rest depth-first, OR-ing it into one of
+    the three, and at a leaf the candidate is the separator part plus the
+    vertices that see both sides (the sides' cover bits are disjoint, so
+    s1 & s2 holds only non-cover vertices).
+
+    A minimal separator S is rebuilt from D1 = W ∩ C1 and D2 = W - S - C1
+    for a full component C1 of G - S. No edge joins two components of G - S,
+    so no cover edge joins D1 and D2, and the walk skips any branch that
+    would put a cover vertex on the side opposite one of its cover
+    neighbours.
     """
     state, rest = task
     k = len(rest)
@@ -140,11 +119,13 @@ def _sep_walk(task) -> set[int]:
         if i == k:
             out.add(sep | (s1 & s2))
             return
-        b, t = rest[i]
+        b, t, c = rest[i]
         i += 1
         walk(i, sep | b, s1, s2)
-        walk(i, sep, s1 | t, s2)
-        walk(i, sep, s1, s2 | t)
+        if not c & s2:
+            walk(i, sep, s1 | t, s2)
+        if not c & s1:
+            walk(i, sep, s1, s2 | t)
 
     walk(0, *state)
     return out
@@ -162,9 +143,15 @@ def _sep_masks_by_vc(g: Graph, wmask: int, jobs: int = 1) -> list[int]:
         states = [(0, 0, 0)]
         head = 0
         while head < len(cover) and len(states) < 4 * jobs:
-            b, t = cover[head]
-            states = [st for sep, s1, s2 in states
-                      for st in ((sep | b, s1, s2), (sep, s1 | t, s2), (sep, s1, s2 | t))]
+            b, t, c = cover[head]
+            nxt = []
+            for sep, s1, s2 in states:
+                nxt.append((sep | b, s1, s2))
+                if not c & s2:
+                    nxt.append((sep, s1 | t, s2))
+                if not c & s1:
+                    nxt.append((sep, s1, s2 | t))
+            states = nxt
             head += 1
         cands = set()
         with Pool(processes=jobs) as pool:
@@ -177,10 +164,10 @@ def _sep_masks_by_vc(g: Graph, wmask: int, jobs: int = 1) -> list[int]:
 def separators_by_vc(g: Graph, w: VertexSet, jobs: int = 1) -> list[VertexSet]:
     """All minimal separators of g, enumerated through the vertex cover w.
 
-    For each three-partition (D1, S, D2) of w the candidate is S plus every
-    outside vertex whose neighborhood meets both D1 and D2; candidates are
-    kept only if they pass the recognizer. The result is complete and has at
-    most 3^|w| members.
+    For each three-partition (D1, S, D2) of w with no edge between D1 and D2
+    the candidate is S plus every outside vertex whose neighborhood meets
+    both D1 and D2; candidates are kept only if they pass the recognizer.
+    The result is complete and has at most 3^|w| members.
     """
     _require_cover(g, w)
     return canonical_sets(_sep_masks_by_vc(g, w.mask, jobs=jobs))
@@ -190,13 +177,22 @@ def _pmc_walk(adj: tuple[int, ...], wmask: int) -> set[int]:
     """PMC candidates from the four-partitions (Ds, Dx, Dy, Om) of the cover and a pair choice.
 
     The walk assigns each cover vertex depth-first to one of the four parts,
-    OR-ing its non-cover neighbors into sees_ds, sees_dx or sees_dy (or its
-    own bit into om). At a leaf, a non-cover vertex joins the candidate if it
+    OR-ing its bit and its non-cover neighbors into sds, sdx or sdy (or its
+    bit into om). At a leaf, a non-cover vertex joins the candidate if it
     sees the far side Ds and a near side, or sees no far side but both near
     sides once the non-cover neighborhoods of a pair (x, y) are added to
-    sees_dx and sees_dy. The pair ranges over all vertices, a harmless
-    superset of what is needed. Swapping Dx and Dy gives the same candidates,
-    so only partitions whose first near-side vertex is in Dx are walked.
+    sdx and sdy. The pair ranges over all vertices, a harmless superset of
+    what is needed. Swapping Dx and Dy gives the same candidates, so only
+    partitions whose first near-side vertex is in Dx are walked.
+
+    The walk skips every partition with a cover edge between two of Ds, Dx
+    and Dy. For a PMC Omega with an active separator S = N(D), D a component
+    of G - Omega, the four-partition lemma's partition has Om = W ∩ Omega and
+    takes Ds from the components of G - S other than C, the one holding
+    Omega - S, and Dx and Dy from the components of C - Omega that hold or
+    touch x and y. Each of these is a component of G - Omega, and each puts
+    its cover vertices on one side, so Ds, Dx and Dy lie in distinct
+    components of G - Omega and no edge joins two of them.
     """
     cover = _cover_sees(adj, wmask)
     nonw = ~wmask
@@ -208,7 +204,7 @@ def _pmc_walk(adj: tuple[int, ...], wmask: int) -> set[int]:
     def leaf(om: int, sds: int, sdx: int, sdy: int) -> None:
         near = sdx | sdy
         base = om | (sds & near)
-        quiet_near = near & ~sds
+        quiet_near = near & ~sds & nonw
         if not quiet_near:
             out.add(base)
             return
@@ -220,12 +216,14 @@ def _pmc_walk(adj: tuple[int, ...], wmask: int) -> set[int]:
         if i == k:
             leaf(om, sds, sdx, sdy)
             return
-        b, t = cover[i]
+        b, t, c = cover[i]
         i += 1
         walk(i, om | b, sds, sdx, sdy, split)
-        walk(i, om, sds | t, sdx, sdy, split)
-        walk(i, om, sds, sdx | t, sdy, True)
-        if split:
+        if not c & (sdx | sdy):
+            walk(i, om, sds | t, sdx, sdy, split)
+        if not c & (sds | sdy):
+            walk(i, om, sds, sdx | t, sdy, True)
+        if split and not c & (sds | sdx):
             walk(i, om, sds, sdx, sdy | t, True)
 
     walk(0, 0, 0, 0, 0, False)
@@ -250,16 +248,19 @@ def active_pmcs_by_vc(g: Graph, w: VertexSet) -> PmcCatalog:
     return PmcCatalog.collect(g, _active_pmc_candidates(g, w.mask))
 
 
-def pmcs_by_vc(g: Graph, cover: VertexSet | None = None) -> PmcCatalog:
+def pmcs_by_vc(
+    g: Graph, cover: VertexSet | None = None, separators: list[VertexSet] | None = None
+) -> PmcCatalog:
     """The complete PMC catalog of g, from one vertex cover in one pass.
 
     By the structural lemma of Bouchitté and Todinca ("Listing all potential
     maximal cliques of a graph", TCS 2002), a PMC with no active separator is
     a minimal separator plus one vertex, S + {x}, or a closed neighborhood
     N[x]. So the catalog is the active-separator candidates (which include
-    every N[x]) together with every S + {x}, with S from the three-partition
-    sweep of the cover, passed once through the recognizer. The cover
-    defaults to a minimum one.
+    every N[x]) together with every S + {x}, passed once through the
+    recognizer. The cover defaults to a minimum one. The separators are
+    every minimal separator of g, as separators_by_vc lists them; when not
+    given, they come from the three-partition sweep of the cover.
     """
     if g.n == 0:
         raise InputError("graph must be nonempty")
@@ -268,7 +269,10 @@ def pmcs_by_vc(g: Graph, cover: VertexSet | None = None) -> PmcCatalog:
     else:
         _require_cover(g, cover)
     full = g.full_mask
-    seps = _sep_masks_by_vc(g, cover.mask)
+    if separators is None:
+        seps = _sep_masks_by_vc(g, cover.mask)
+    else:
+        seps = [s.mask for s in separators]
     cands = _active_pmc_candidates(g, cover.mask)
     cands.update(s | (1 << x) for s in seps for x in iter_bits(full & ~s))
     return PmcCatalog.collect(g, cands)

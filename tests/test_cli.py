@@ -324,6 +324,16 @@ class TestWorkDoneOnce:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("argv, graphs", [
+        (["count", "--what", "both", "--family", "cube", "--method", "vc"], 1),
+        (["verify", "--family", "gnp", "--n", "8", "--prob", "0.4", "--seeds", "2"], 2),
+    ])
+    def test_one_separator_sweep_per_graph(self, capsys, monkeypatch, argv, graphs):
+        calls = count_calls(monkeypatch, "_sep_masks_by_vc", [pmckit.vc])
+        code, _ = run_json(capsys, argv)
+        assert code == 0
+        assert len(calls) == graphs
+
     def test_solve_mw_decomposes_once(self, capsys, monkeypatch):
         calls = count_calls(monkeypatch, "modular_decomposition", [pmckit.cli, pmckit.modular])
         code, blob = run_json(capsys, ["solve", "tw", "--family", "cube", "--method", "mw"])

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import random
+from itertools import product
+from typing import Iterator, NamedTuple
+
 import pytest
 from hypothesis import given, settings
 
@@ -15,7 +19,6 @@ from pmckit import (
     brute_force_separators,
     complete,
     empty_graph,
-    four_partitions,
     full_components,
     gnp,
     is_vertex_cover,
@@ -24,13 +27,63 @@ from pmckit import (
     pmcs_by_vc,
     prefix_graph,
     separators_by_vc,
-    three_partitions,
     watermelon,
 )
+import pmckit.vc
 from pmckit.bitset import iter_bits
 from pmckit.vc import _cover_sees, _pmc_walk, _sep_walk
 
 PROPERTY = settings(max_examples=60, deadline=None)
+
+
+class ThreePartition(NamedTuple):
+    """Split of a vertex cover into two component sides and a separator part (bitmasks)."""
+
+    d1: int
+    sep: int
+    d2: int
+
+
+class FourPartition(NamedTuple):
+    """Split of a vertex cover into far side, x-side, y-side and clique part (bitmasks)."""
+
+    ds: int
+    dx: int
+    dy: int
+    om: int
+
+
+def three_partitions(wmask: int) -> Iterator[ThreePartition]:
+    """Every three-partition of the cover, the unpruned reference for _sep_walk."""
+    bits = [1 << v for v in iter_bits(wmask)]
+    for assign in product(range(3), repeat=len(bits)):
+        parts = [0, 0, 0]
+        for b, a in zip(bits, assign):
+            parts[a] |= b
+        yield ThreePartition(*parts)
+
+
+def four_partitions(wmask: int) -> Iterator[FourPartition]:
+    """Every four-partition of the cover, the unpruned reference for _pmc_walk."""
+    bits = [1 << v for v in iter_bits(wmask)]
+    for assign in product(range(4), repeat=len(bits)):
+        parts = [0, 0, 0, 0]
+        for b, a in zip(bits, assign):
+            parts[a] |= b
+        yield FourPartition(*parts)
+
+
+def joined(g, a: int, b: int) -> bool:
+    """Whether some edge of g joins vertex sets a and b."""
+    return any(g.adj[v] & b for v in iter_bits(a))
+
+
+def other_covers(g) -> list[tuple[str, VertexSet]]:
+    """A random superset of the minimum cover, and all of V (every edge is a cover edge)."""
+    w = minimum_vertex_cover(g).mask
+    rng = random.Random(g.n * 1000 + g.m)
+    extra = sum(1 << v for v in iter_bits(g.full_mask & ~w) if rng.random() < 0.5)
+    return [("superset", VertexSet(w | extra)), ("V", VertexSet(g.full_mask))]
 
 
 def brute_min_vc_size(g) -> int:
@@ -91,6 +144,8 @@ class TestPartitionSpaces:
             nonw = [(x, g.adj[x]) for x in iter_bits(g.full_mask & ~w)]
             want = set()
             for d1, sep, d2 in three_partitions(w):
+                if joined(g, d1, d2):
+                    continue
                 want.add(sep | sum(1 << x for x, ax in nonw if ax & d1 and ax & d2))
             assert _sep_walk(((0, 0, 0), _cover_sees(g.adj, w))) == want, name
 
@@ -101,6 +156,8 @@ class TestPartitionSpaces:
             side_masks = {a & nonw for a in g.adj}
             want = set()
             for ds, dx, dy, om in four_partitions(w):
+                if joined(g, ds, dx) or joined(g, ds, dy) or joined(g, dx, dy):
+                    continue
                 sees = [sum(1 << z for z in iter_bits(nonw) if g.adj[z] & d) for d in (ds, dx, dy)]
                 near = sees[1] | sees[2]
                 quiet = nonw & ~sees[0]
@@ -157,6 +214,41 @@ class TestSeparatorsByVc:
         g = watermelon(5, 3)
         w = minimum_vertex_cover(g)
         assert separators_by_vc(g, w, jobs=2) == separators_by_vc(g, w)
+
+    def test_jobs_split_prunes_like_the_walk(self, monkeypatch):
+        # gnp(10,0.4,3) has cover edges, unlike watermelon's independent
+        # cover; with cover V every edge is one
+        g = gnp(10, 0.4, 3)
+        assert separators_by_vc(g, VertexSet(g.full_mask), jobs=2) == brute_force_separators(g)
+        # a split that skipped the prune would hand the workers partial
+        # states whose leaves the serial walk never visits
+        w = minimum_vertex_cover(g).mask
+        parts = []
+
+        class InlinePool:
+            def __init__(self, processes):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                parts.extend(fn(task) for task in tasks)
+                return list(parts)
+
+        monkeypatch.setattr(pmckit.vc, "Pool", InlinePool)
+        separators_by_vc(g, VertexSet(w), jobs=2)
+        assert len(parts) > 1
+        assert set().union(*parts) == _sep_walk(((0, 0, 0), _cover_sees(g.adj, w)))
+
+    def test_matches_oracle_on_corpus_with_other_covers(self, quick_corpus):
+        for name, g in quick_corpus:
+            want = brute_force_separators(g)
+            for kind, w in other_covers(g):
+                assert separators_by_vc(g, w) == want, (name, kind)
 
     def test_partition_rebuilds_each_separator(self, quick_corpus):
         # for the partition induced by a separator, the assembled candidate
@@ -219,6 +311,18 @@ class TestPmcsByVc:
     def test_matches_oracle_on_corpus(self, quick_corpus):
         for name, g in quick_corpus:
             assert pmcs_by_vc(g).mask_set() == brute_force_pmcs(g).mask_set(), name
+
+    def test_matches_oracle_on_corpus_with_other_covers(self, quick_corpus):
+        for name, g in quick_corpus:
+            want = brute_force_pmcs(g).mask_set()
+            for kind, w in other_covers(g):
+                assert pmcs_by_vc(g, w).mask_set() == want, (name, kind)
+
+    def test_given_separators_give_the_same_catalog(self):
+        g = gnp(12, 0.3, 1)
+        w = minimum_vertex_cover(g)
+        seps = separators_by_vc(g, w)
+        assert pmcs_by_vc(g, w, separators=seps).mask_set() == pmcs_by_vc(g, w).mask_set()
 
     def test_prefix_of_cover_covers_prefix(self, quick_corpus):
         for name, g in quick_corpus:
