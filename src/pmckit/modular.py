@@ -5,9 +5,9 @@ components (union node) or co-components (join node); otherwise the maximal
 proper strong modules are assembled from minimal-module closures and the node
 is prime. Enumeration walks the tree bottom-up, combining child results with
 quotient-level results, and passes every candidate through the recognizers
-once per node. The only exhaustive step is on prime quotients: the subset
-oracles of the recognition module (brute_force_separators, brute_force_pmcs)
-under PRIME_NODE_CAP, their results expanded to the children's vertex sets.
+once per node. Prime quotients are listed output-sensitively (the separator
+closure and the one-more-vertex PMC listing of the recognition module), their
+results expanded to the children's vertex sets; no step scans subsets.
 """
 
 from __future__ import annotations
@@ -16,12 +16,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bitset import VertexSet, canonical_sets, iter_bits
-from .errors import CapExceeded, InputError
+from .errors import InputError
 from .graph import Graph, _components_masks, _graph_from_adj, _nbr_mask
-from .recognition import PmcCatalog, _min_sep_mask, _pmc_mask, brute_force_pmcs, brute_force_separators
-
-# The subset oracles refuse a prime quotient above this many vertices.
-PRIME_NODE_CAP = 20
+from .recognition import PmcCatalog, _min_sep_mask, _pmc_listing, _pmc_mask
 
 
 @dataclass(frozen=True)
@@ -191,17 +188,9 @@ def expand_graph(quotient: Graph, modules: Sequence[Graph]) -> tuple[Graph, list
 
 
 def base_enumerate(quotient: Graph) -> tuple[list[VertexSet], PmcCatalog]:
-    """Exhaustive minimal separators and PMC catalog of a prime quotient.
-
-    Runs the subset oracles under PRIME_NODE_CAP, so a quotient above it
-    raises CapExceeded.
-    """
-    try:
-        return (brute_force_separators(quotient, cap=PRIME_NODE_CAP),
-                brute_force_pmcs(quotient, cap=PRIME_NODE_CAP))
-    except CapExceeded:
-        raise CapExceeded(f"mw route refused: prime quotient has n={quotient.n}, "
-                          f"above PRIME_NODE_CAP {PRIME_NODE_CAP}") from None
+    """Minimal separators and PMC catalog of a prime quotient, output-sensitively (no size cap)."""
+    seps, pmcs = _pmc_listing(quotient.adj, quotient.full_mask)
+    return canonical_sets(seps), PmcCatalog.from_verified(quotient, pmcs)
 
 
 def _enumerate_node(g: Graph, node: ModuleNode) -> tuple[set[int], set[int]]:
@@ -241,8 +230,7 @@ def enumerate_by_mw(g: Graph, tree: ModuleTree | None = None) -> tuple[list[Vert
     At each tree node the candidates are expansions of quotient-level results
     plus each child result padded with the child's outside neighborhood; all
     candidates are verified against the node's induced subgraph, so the final
-    lists are exactly the separators and PMCs of g. A prime quotient above
-    PRIME_NODE_CAP raises CapExceeded.
+    lists are exactly the separators and PMCs of g.
     """
     if tree is None:
         tree = modular_decomposition(g)

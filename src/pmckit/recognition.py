@@ -1,4 +1,4 @@
-"""Recognizers for minimal separators and potential maximal cliques, plus subset oracles.
+"""Recognizers for minimal separators and potential maximal cliques, and listings on them.
 
 The recognizers are the ground truth of the package: every enumeration route
 (vertex-cover based, modular-width based, or exhaustive) only ever emits
@@ -195,8 +195,54 @@ class PmcCatalog:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive subset oracles
+# Listings: output-sensitive (polynomial work per object) and exhaustive
 # ---------------------------------------------------------------------------
+
+def _separator_closure(adj: tuple[int, ...], space: int) -> list[int]:
+    """Minimal separators of the subgraph on ``space`` (Berry, Bordat, Cogis).
+
+    Seeds are N(C) for each component C of space - N[v]; each separator S
+    found adds N(C) for each component C of space - (S + N(x)), x in S, until
+    nothing new appears. Each distinct candidate passes the recognizer once.
+    """
+    seps, seen = [], set()
+    todo = [adj[v] | (1 << v) for v in iter_bits(space)]
+    while todo:
+        for _, nb in _components_with_nbrs(adj, space & ~todo.pop()):
+            s = nb & space
+            if s not in seen:
+                seen.add(s)
+                if _min_sep_mask(adj, s, space):
+                    seps.append(s)
+                    todo.extend(s | adj[x] for x in iter_bits(s))
+    return seps
+
+
+def _pmc_listing(adj: tuple[int, ...], space: int) -> tuple[list[int], list[int]]:
+    """(minimal separators, PMCs) of the subgraph on ``space`` (Bouchitté, Todinca).
+
+    Adds the vertices of ``space`` in ascending order. The PMCs of the prefix
+    plus a are among: each PMC of the prefix, with and without a; S + a for
+    each separator S; and S + (C & T) for each new separator S without a,
+    each full component C of S and each separator T. Candidates pass the
+    recognizer on the grown prefix.
+    """
+    prefix, seps, pmcs = 0, [], []
+    for a in iter_bits(space):
+        bit = 1 << a
+        prefix |= bit
+        old_seps, seps = set(seps), _separator_closure(adj, prefix)
+        # {a} is the one-vertex prefix's PMC
+        cands = {bit, *pmcs, *(o | bit for o in pmcs), *(s | bit for s in seps)}
+        for s in seps:
+            if s & bit or s in old_seps:
+                continue
+            for comp, nb in _components_with_nbrs(adj, prefix & ~s):
+                if nb & prefix == s:
+                    cands.update(s | (comp & t) for t in seps)
+        pmcs = [o for o in cands if _pmc_mask(adj, o, prefix)]
+    return seps, pmcs
+
 
 def _oracle_chunk(args):
     adj, space, lo, hi, kind = args

@@ -11,7 +11,21 @@ import pmckit.cli
 import pmckit.modular
 import pmckit.recognition
 import pmckit.vc
-from pmckit import cube, parse_gr
+from pmckit import (
+    complete,
+    cube,
+    empty_graph,
+    enumerate_by_mw,
+    expand_graph,
+    gnp,
+    min_fill_in,
+    parse_gr,
+    path,
+    pmcs_by_vc,
+    treewidth,
+    watermelon,
+    write_gr,
+)
 from pmckit.cli import main
 
 TOP_KEYS = ["command", "graph", "params", "results", "timings_ms", "verified"]
@@ -190,13 +204,41 @@ class TestInputGuards:
         assert main(["gen", "--family", "watermelon", "--p", "100000", "--q", "3"]) == 2
         assert "4096" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [["solve", "tw"], ["enum", "pmcs"]])
-    def test_mw_prime_quotient_over_cap(self, capsys, argv):
-        # watermelon(8,3) is prime: its quotient is the whole 26-vertex graph
-        code = main(argv + ["--family", "watermelon", "--p", "8", "--q", "3", "--method", "mw"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err == "error: mw route refused: prime quotient has n=26, above PRIME_NODE_CAP 20\n"
+
+class TestMwRoute:
+    def test_large_prime_quotient_matches_vc(self, capsys):
+        # gnp(24,0.15,1) is prime with a 23-vertex quotient, listed without a size cap
+        gnp24 = ["--family", "gnp", "--n", "24", "--prob", "0.15", "--seed", "1", "--method", "mw"]
+        g = gnp(24, 0.15, 1)
+        catalog = pmcs_by_vc(g)
+        code, blob = run_json(capsys, ["enum", "pmcs", *gnp24])
+        assert code == 0 and blob["params"]["mw"] == 23
+        assert blob["results"]["pmcs"] == catalog.to_lists()
+        code, blob = run_json(capsys, ["solve", "tw", *gnp24])
+        assert code == 0 and blob["results"]["counts"] == {"treewidth": treewidth(g, catalog)}
+        code, blob = run_json(capsys, ["solve", "fillin", *gnp24])
+        assert code == 0 and blob["results"]["counts"] == {"fill_in": min_fill_in(g, catalog)}
+
+    @pytest.mark.parametrize("name", ["cube", "watermelon(4,3)", "gnp(12) module in path(4)"])
+    def test_scans_no_subsets(self, capsys, monkeypatch, tmp_path, mw_solve_quotients, name):
+        if name == "cube":
+            g = cube()
+        elif name == "watermelon(4,3)":
+            g = watermelon(4, 3)
+        else:
+            modules = [mw_solve_quotients[0], complete(2), empty_graph(2), complete(1)]
+            g, _ = expand_graph(path(4), modules)
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the mw route ran a subset scan")
+
+        monkeypatch.setattr(pmckit.recognition, "_oracle_scan", no_scan)
+        assert len(enumerate_by_mw(g)[1]) > 0
+        gr = tmp_path / "g.gr"
+        gr.write_text(write_gr(g))
+        for problem in ("tw", "fillin"):
+            code, _ = run_json(capsys, ["solve", problem, "--input", str(gr), "--method", "mw"])
+            assert code == 0
 
 
 class TestDeterminism:
@@ -248,6 +290,13 @@ class TestDeterminism:
              "eba1a28d3a57bb88b4450ba1ebef5a0da892753c6232ca4dfde4e208c0ac90f8"),
             (["solve", "fillin", "--family", "watermelon", "--p", "4", "--q", "3", "--method", "mw"],
              "a53498f922cb545bcb50ace635a1f15f17f3a22ab26a623a6a181fa5ea18f971"),
+            # gnp(13,0.3,2) is a 12-vertex prime quotient plus an isolated vertex
+            (["enum", "seps", "--family", "gnp", "--n", "13", "--prob", "0.3", "--seed", "2",
+              "--method", "mw"],
+             "52fe23e9a4fd4f9b6b3082d56d1af7c8698a982be3b14b514692ec02a8f679c3"),
+            (["enum", "pmcs", "--family", "gnp", "--n", "13", "--prob", "0.3", "--seed", "2",
+              "--method", "mw"],
+             "834469ef6681822890a2950720ed61905ead09d82ffd05a62921931fd0991981"),
         ],
     )
     def test_golden_output(self, capsys, argv, digest):

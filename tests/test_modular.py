@@ -7,7 +7,6 @@ from hypothesis import given, settings
 
 import strategies
 from pmckit import (
-    CapExceeded,
     InputError,
     VertexSet,
     base_enumerate,
@@ -230,9 +229,11 @@ class TestBaseEnumerate:
         seps, _ = base_enumerate(empty_graph(3))
         assert VertexSet() in seps
 
-    def test_cap_refusal(self):
-        with pytest.raises(CapExceeded):
-            base_enumerate(empty_graph(21))
+    def test_no_size_cap(self):
+        # 21 vertices: no size cap refuses it
+        seps, catalog = base_enumerate(empty_graph(21))
+        assert seps == [VertexSet()]
+        assert catalog.to_lists() == [[v] for v in range(21)]
 
 
 class TestEnumerationByMw:

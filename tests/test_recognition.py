@@ -17,7 +17,9 @@ from pmckit import (
     brute_force_separators,
     complete,
     components,
+    cycle,
     empty_graph,
+    expand,
     gnp,
     induced_subgraph,
     is_minimal_separator,
@@ -27,6 +29,8 @@ from pmckit import (
     path,
     pmc_separators,
 )
+from pmckit.graph import Graph
+from pmckit.recognition import _pmc_listing, _separator_closure
 
 PROPERTY = settings(max_examples=80, deadline=None)
 
@@ -242,3 +246,57 @@ class TestOracles:
             assert (m in seps) == is_minimal_separator(g, VertexSet(m))
             if m:
                 assert (m in pmcs) == is_pmc(g, VertexSet(m))
+
+
+def assert_listings_match_oracles(g, name=""):
+    """Both output-sensitive listings equal the subset oracles, without repeats."""
+    seps = sorted(s.mask for s in brute_force_separators(g))
+    assert sorted(_separator_closure(g.adj, g.full_mask)) == seps, name
+    listed_seps, listed_pmcs = _pmc_listing(g.adj, g.full_mask)
+    assert sorted(listed_seps) == seps, name
+    assert sorted(listed_pmcs) == sorted(brute_force_pmcs(g).mask_set()), name
+
+
+class TestOutputSensitiveListings:
+    def test_quick_corpus(self, quick_corpus):
+        for name, g in quick_corpus:
+            assert_listings_match_oracles(g, name)
+
+    @pytest.mark.parametrize("n", range(5, 9))
+    def test_paths_and_cycles(self, n):
+        assert_listings_match_oracles(path(n))
+        assert_listings_match_oracles(cycle(n))
+
+    @pytest.mark.parametrize("g", [
+        empty_graph(1),
+        empty_graph(4),
+        Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+        Graph.from_edges(7, [(0, 3), (3, 5), (1, 2), (2, 6), (6, 1)]),
+        Graph.from_edges(5, [(1, 2), (2, 3), (3, 4)]),
+    ], ids=["K1", "edgeless4", "two_triangles", "path_and_triangle", "isolated_first"])
+    def test_one_vertex_and_disconnected(self, g):
+        assert_listings_match_oracles(g)
+
+    @PROPERTY
+    @given(strategies.graphs(max_n=8))
+    def test_property(self, g):
+        assert_listings_match_oracles(g)
+
+    @PROPERTY
+    @given(strategies.graph_with_subset(max_n=8))
+    def test_listings_stay_inside_space(self, pair):
+        g, keep = pair
+        h, old = induced_subgraph(g, keep)
+        singletons = [VertexSet.of(v) for v in old]
+
+        def lift(masks):
+            return sorted(expand(VertexSet(m), singletons).mask for m in masks)
+
+        seps, pmcs = _pmc_listing(g.adj, keep.mask)
+        assert sorted(_separator_closure(g.adj, keep.mask)) == sorted(seps)
+        assert sorted(seps) == lift(s.mask for s in brute_force_separators(h))
+        assert sorted(pmcs) == lift(brute_force_pmcs(h).mask_set())
+
+    def test_prime_quotients_of_the_mw_workload(self, mw_solve_quotients):
+        for i, q in enumerate(mw_solve_quotients):
+            assert_listings_match_oracles(q, f"module {i}")
