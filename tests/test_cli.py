@@ -204,21 +204,32 @@ class TestInputGuards:
         assert main(["gen", "--family", "watermelon", "--p", "100000", "--q", "3"]) == 2
         assert "4096" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["solve", "tw"], ["enum", "pmcs"], ["solve", "fillin"]])
+    def test_mw_prime_quotient_over_cap(self, capsys, gnp24_vc, argv):
+        # gnp(24,0.15,1) is prime with a 23-vertex quotient, over the 20-vertex
+        # cap the mw route once refused at; it is listed and agrees with vc
+        g, catalog = gnp24_vc
+        expected = {
+            "tw": {"counts": {"treewidth": treewidth(g, catalog)}},
+            "pmcs": {"pmcs": catalog.to_lists()},
+            "fillin": {"counts": {"fill_in": min_fill_in(g, catalog)}},
+        }[argv[1]]
+        code, blob = run_json(
+            capsys,
+            argv + ["--family", "gnp", "--n", "24", "--prob", "0.15", "--seed", "1", "--method", "mw"],
+        )
+        assert code == 0 and blob["params"]["mw"] == 23
+        for key, value in expected.items():
+            assert blob["results"][key] == value
+
+
+@pytest.fixture(scope="module")
+def gnp24_vc():
+    g = gnp(24, 0.15, 1)
+    return g, pmcs_by_vc(g)
+
 
 class TestMwRoute:
-    def test_large_prime_quotient_matches_vc(self, capsys):
-        # gnp(24,0.15,1) is prime with a 23-vertex quotient, listed without a size cap
-        gnp24 = ["--family", "gnp", "--n", "24", "--prob", "0.15", "--seed", "1", "--method", "mw"]
-        g = gnp(24, 0.15, 1)
-        catalog = pmcs_by_vc(g)
-        code, blob = run_json(capsys, ["enum", "pmcs", *gnp24])
-        assert code == 0 and blob["params"]["mw"] == 23
-        assert blob["results"]["pmcs"] == catalog.to_lists()
-        code, blob = run_json(capsys, ["solve", "tw", *gnp24])
-        assert code == 0 and blob["results"]["counts"] == {"treewidth": treewidth(g, catalog)}
-        code, blob = run_json(capsys, ["solve", "fillin", *gnp24])
-        assert code == 0 and blob["results"]["counts"] == {"fill_in": min_fill_in(g, catalog)}
-
     @pytest.mark.parametrize("name", ["cube", "watermelon(4,3)", "gnp(12) module in path(4)"])
     def test_scans_no_subsets(self, capsys, monkeypatch, tmp_path, mw_solve_quotients, name):
         if name == "cube":
