@@ -45,6 +45,8 @@ from .vc import minimum_vertex_cover, pmcs_by_vc, separators_by_vc
 
 # Largest --jobs accepted; each job is one worker process.
 MAX_JOBS = 64
+# Largest verify --seeds accepted; every seed's graph is built before any check.
+MAX_SEEDS = 4096
 
 
 @dataclass
@@ -217,8 +219,8 @@ def _verify_targets(args) -> tuple[str, list[tuple[str, Graph]]]:
             raise InputError("--seeds requires --family gnp")
         if args.seed is not None:
             raise InputError("--seeds replaces --seed; give only one")
-        if args.seeds < 1:
-            raise InputError("--seeds must be positive")
+        if not 1 <= args.seeds <= MAX_SEEDS:
+            raise InputError(f"--seeds must be between 1 and {MAX_SEEDS}, got {args.seeds}")
         if args.n is None or args.prob is None:
             raise InputError("--family gnp needs --n and --prob")
         targets = []
@@ -396,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-check every applicable method")
     _add_input_options(p)
-    p.add_argument("--seeds", type=int, help="gnp only: verify seeds 0..N-1")
+    p.add_argument("--seeds", type=int, help=f"gnp only: verify seeds 0..N-1 (N <= {MAX_SEEDS})")
     _add_run_options(p, method=False)
 
     p = sub.add_parser("solve", help="exact treewidth or minimum fill-in")

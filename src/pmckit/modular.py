@@ -1,9 +1,10 @@
 """Modular decomposition and modular-width-parameterized enumeration.
 
 The decomposition is a plain recursive partition scheme: split on connected
-components (union node) or co-components (join node); otherwise the maximal
-proper strong modules are assembled from minimal-module closures and the node
-is prime. Enumeration walks the tree bottom-up, combining child results with
+components (union node) or co-components (join node); otherwise the node is
+prime, and its maximal proper strong modules come from vertex partition
+refinement (after Habib and Paul's survey of modular decomposition, 2010).
+Enumeration walks the tree bottom-up, combining child results with
 quotient-level results, and passes every candidate through the recognizers
 once per node. Prime quotients are listed output-sensitively (the separator
 closure and the one-more-vertex PMC listing of the recognition module), their
@@ -63,28 +64,46 @@ def _module_closure(adj: tuple[int, ...], space: int, seed: int) -> int:
             return m
 
 
+def _refine(adj: tuple[int, ...], space: int, v: int) -> list[int]:
+    """Maximal modules of the subgraph on ``space`` that do not contain v.
+
+    Partition refinement: split any part by the neighborhood of any vertex
+    outside it until none splits (Ehrenfeucht, Gabow, McConnell and Sullivan
+    1994). A module without v is never split; every part left is a module.
+    """
+    parts, pending = [space & ~(1 << v)], space  # pending: pivots to apply
+    while pending:
+        z = (pending & -pending).bit_length() - 1
+        pending &= pending - 1
+        split = []
+        for part in parts:
+            inside = part & adj[z]
+            if (part >> z) & 1 or inside in (0, part):
+                split.append(part)
+            else:
+                split += (inside, part & ~inside)
+                pending |= part
+        parts = split
+    return parts
+
+
 def _prime_partition(adj: tuple[int, ...], space: int) -> list[int]:
     """Maximal proper strong modules of a connected, co-connected subgraph.
 
-    The block containing x is the union of all proper minimal modules through
-    x; blocks of distinct unassigned vertices never overlap.
+    The quotient is prime, so no union of two or more children is a module
+    and every proper module lies inside one child. The maximal modules without
+    v, the lowest vertex, are thus the children other than M_v (the child
+    holding v) and modules inside M_v. A vertex w is outside M_v exactly when
+    the smallest module holding v and w is the whole space, and then M_v is
+    the maximal module without w that holds v. Blocks are sorted by lowest
+    vertex.
     """
-    parts = []
-    assigned = 0
-    for x in iter_bits(space):
-        if (assigned >> x) & 1:
-            continue
-        block = 1 << x
-        for y in iter_bits(space & ~(1 << x)):
-            if (block >> y) & 1:
-                continue
-            closure = _module_closure(adj, space, (1 << x) | (1 << y))
-            if closure != space:
-                block |= closure
-        assert block & assigned == 0, "strong modules must not overlap"
-        parts.append(block)
-        assigned |= block
-    return parts
+    v = (space & -space).bit_length() - 1
+    parts = _refine(adj, space, v)
+    lows = ((p & -p).bit_length() - 1 for p in parts)
+    w = next(w for w in lows if _module_closure(adj, space, (1 << v) | (1 << w)) == space)
+    m_v = next(p for p in _refine(adj, space, w) if (p >> v) & 1)
+    return sorted([m_v] + [p for p in parts if not p & m_v], key=lambda p: p & -p)
 
 
 def _decompose(g: Graph, co_adj: tuple[int, ...], space: int) -> ModuleNode:
@@ -105,13 +124,10 @@ def _decompose(g: Graph, co_adj: tuple[int, ...], space: int) -> ModuleNode:
     parts = _prime_partition(g.adj, space)
     assert len(parts) >= 2, "prime split of a connected, co-connected graph"
     children = tuple(_decompose(g, co_adj, part) for part in parts)
-    reps = [part & -part for part in parts]
-    adj_q = [0] * len(parts)
-    for i, rep in enumerate(reps):
-        rv = rep.bit_length() - 1
-        for j, part in enumerate(parts):
-            if j != i and g.adj[rv] & part:
-                adj_q[i] |= 1 << j
+    adj_q = []
+    for part in parts:
+        nbrs = g.adj[(part & -part).bit_length() - 1] & ~part
+        adj_q.append(sum(1 << j for j, other in enumerate(parts) if nbrs & other))
     return ModuleNode("prime", VertexSet(space), children, _graph_from_adj(len(parts), adj_q))
 
 

@@ -204,6 +204,16 @@ class TestInputGuards:
         assert main(["gen", "--family", "watermelon", "--p", "100000", "--q", "3"]) == 2
         assert "4096" in capsys.readouterr().err
 
+    def test_verify_seeds_limit_builds_no_graph(self, capsys, monkeypatch):
+        def no_generate(*args, **kwargs):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(pmckit.cli, "generate", no_generate)
+        argv = ["verify", "--family", "gnp", "--n", "15", "--prob", "0.2", "--seeds"]
+        assert main(argv + [str(pmckit.cli.MAX_SEEDS + 1)]) == 2
+        assert main(argv + ["0"]) == 2
+        assert "4096" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [["solve", "tw"], ["enum", "pmcs"], ["solve", "fillin"]])
     def test_mw_prime_quotient_over_cap(self, capsys, gnp24_vc, argv):
         # gnp(24,0.15,1) is prime with a 23-vertex quotient, over the 20-vertex
@@ -308,6 +318,9 @@ class TestDeterminism:
             (["enum", "pmcs", "--family", "gnp", "--n", "13", "--prob", "0.3", "--seed", "2",
               "--method", "mw"],
              "834469ef6681822890a2950720ed61905ead09d82ffd05a62921931fd0991981"),
+            # union, join and prime nodes, a prime node with a non-leaf child, depth 5
+            (["decompose", "--family", "gnp", "--n", "11", "--prob", "0.3", "--seed", "3"],
+             "0b70009ae5aa0a2b4df7ea3637be1baf99f3a79ba630ff258746a749a18c0df2"),
         ],
     )
     def test_golden_output(self, capsys, argv, digest):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 
@@ -19,11 +22,13 @@ from pmckit import (
     enumerate_by_mw,
     expand,
     expand_graph,
+    gnp,
     modular_decomposition,
     modular_width,
     path,
     tree_to_json,
 )
+from pmckit import modular
 from pmckit.bitset import iter_bits
 from pmckit.graph import Graph
 
@@ -65,6 +70,44 @@ def check_tree_invariants(g: Graph, node) -> None:
         assert q.m == q.n * (q.n - 1) // 2
     elif q.n <= 10:  # primality brute check only where affordable
         assert not has_nontrivial_module(q)
+
+
+def pairwise_prime_partition(adj, space):
+    """Reference split of a prime node: one module closure per vertex pair.
+
+    The block containing x is the union of all proper minimal modules through
+    x; blocks of distinct unassigned vertices never overlap.
+    """
+    parts = []
+    assigned = 0
+    for x in iter_bits(space):
+        if (assigned >> x) & 1:
+            continue
+        block = 1 << x
+        for y in iter_bits(space & ~(1 << x)):
+            if (block >> y) & 1:
+                continue
+            closure = modular._module_closure(adj, space, (1 << x) | (1 << y))
+            if closure != space:
+                block |= closure
+        assert block & assigned == 0, "strong modules must not overlap"
+        parts.append(block)
+        assigned |= block
+    return parts
+
+
+def assert_matches_reference(g: Graph) -> None:
+    fast = tree_to_json(modular_decomposition(g))
+    with mock.patch.object(modular, "_prime_partition", pairwise_prime_partition):
+        assert fast == tree_to_json(modular_decomposition(g))
+
+
+def nested_composition(rng: random.Random, depth: int) -> Graph:
+    """gnp quotients whose vertices are replaced by nested gnp compositions."""
+    if depth == 0:
+        return gnp(rng.randint(1, 4), rng.random(), rng.randrange(1 << 20))
+    quotient = gnp(rng.randint(2, 5), rng.random(), rng.randrange(1 << 20))
+    return expand_graph(quotient, [nested_composition(rng, depth - 1) for _ in range(quotient.n)])[0]
 
 
 def rebuilt_edges(node) -> set[tuple[int, int]]:
@@ -145,6 +188,42 @@ class TestDecomposition:
         assert blob["modular_width"] == 4
         assert blob["root"]["kind"] == "prime"
         assert blob["root"]["quotient"]["n"] == 4
+
+
+class TestPrimeSplit:
+    """The refinement split against the pairwise-closure reference."""
+
+    @PROPERTY
+    @given(strategies.graphs(max_n=8))
+    def test_matches_reference(self, g):
+        assert_matches_reference(g)
+
+    def test_matches_reference_on_corpus(self, quick_corpus):
+        for _, g in quick_corpus:
+            assert_matches_reference(g)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_reference_on_nested_compositions(self, seed):
+        assert_matches_reference(nested_composition(random.Random(seed), 3))
+
+    @pytest.mark.parametrize("quotient", [path(9), cycle(10)], ids=["path(9)", "cycle(10)"])
+    def test_matches_reference_on_benchmark_shapes(self, mw_solve_quotients, quotient):
+        assert_matches_reference(expand_graph(quotient, mw_solve_quotients[: quotient.n])[0])
+
+    def test_no_pairwise_closures(self, monkeypatch, mw_solve_quotients):
+        # the pairwise reference makes 2,061 closures on this 108-vertex graph
+        g, _ = expand_graph(path(9), mw_solve_quotients[:9])
+        calls = []
+        closure = modular._module_closure
+
+        def counted(*args):
+            calls.append(args)
+            return closure(*args)
+
+        monkeypatch.setattr(modular, "_module_closure", counted)
+        t = modular_decomposition(g)
+        assert modular_width(t) == 12
+        assert 0 < len(calls) < g.n
 
 
 class TestExpandContract:
