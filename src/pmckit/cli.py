@@ -121,7 +121,7 @@ def _route_basis(g: Graph, method: str):
 
 def _enumerate_separators(g: Graph, method: str, jobs: int, basis) -> list[VertexSet]:
     if method == "vc":
-        return separators_by_vc(g, basis, jobs=jobs)
+        return separators_by_vc(g, basis)
     if method == "mw":
         return enumerate_by_mw(g, basis)[0]
     return brute_force_separators(g, cap=_env_oracle_cap(), jobs=jobs)
@@ -254,7 +254,7 @@ def _cmd_verify(args) -> tuple[RunReport, int]:
         cover = minimum_vertex_cover(g)
         tree = modular_decomposition(g)
         mw_seps, mw_cat = enumerate_by_mw(g, tree)
-        vc_seps = separators_by_vc(g, cover, jobs=args.jobs)
+        vc_seps = separators_by_vc(g, cover)
         sep_sets = {
             "vc": {vs.mask for vs in vc_seps},
             "mw": {vs.mask for vs in mw_seps},
@@ -373,8 +373,8 @@ def _add_run_options(p: argparse.ArgumentParser, method: bool = True) -> None:
     if method:
         p.add_argument("--method", choices=("vc", "mw", "brute"), default="vc")
     p.add_argument("--jobs", type=_jobs_count, default=1,
-                   help=f"worker processes, 1 to {MAX_JOBS} (default 1); used by the subset "
-                        "oracles and the vc separator sweep, while pmcs_by_vc runs serially")
+                   help=f"worker processes, 1 to {MAX_JOBS} (default 1); used only by the "
+                        "subset oracles, while the vc and mw routes run in one process")
     p.add_argument("--pretty", action="store_true", help="plain-text table instead of JSON")
 
 
@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="modular decomposition tree as JSON")
     _add_input_options(p)
-    _add_run_options(p, method=False)
+    p.add_argument("--pretty", action="store_true", help="plain-text table instead of JSON")
 
     p = sub.add_parser("gen", help="emit a generated graph in .gr format")
     _add_input_options(p)
@@ -478,6 +478,10 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input too deep: a recursive step passed Python's recursion limit",
+              file=sys.stderr)
         return 2
 
 

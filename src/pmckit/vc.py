@@ -18,8 +18,6 @@ each stage may over-generate freely.
 
 from __future__ import annotations
 
-from multiprocessing import Pool
-
 from .bitset import VertexSet, canonical_sets, iter_bits
 from .errors import InputError
 from .graph import Graph, _validate_subset
@@ -94,16 +92,14 @@ def _cover_sees(adj: tuple[int, ...], wmask: int) -> list[tuple[int, int, int]]:
     return [(1 << w, (1 << w) | adj[w] & outside, adj[w] & wmask) for w in iter_bits(wmask)]
 
 
-def _sep_walk(task) -> set[int]:
-    """Separator candidates of every three-partition that extends one partial one.
+def _sep_walk(adj: tuple[int, ...], wmask: int) -> set[int]:
+    """Separator candidates from the three-partitions (D1, S, D2) of the cover.
 
-    A task is (state, rest). The state (sep, s1, s2) assigns the first cover
-    vertices: sep holds those in the separator part, s1 and s2 the cover
-    vertices of D1 and D2 and the non-cover vertices that see them. The walk
-    assigns each (bit, side, nbrs) of rest depth-first, OR-ing it into one of
-    the three, and at a leaf the candidate is the separator part plus the
-    vertices that see both sides (the sides' cover bits are disjoint, so
-    s1 & s2 holds only non-cover vertices).
+    The walk assigns each cover vertex depth-first to the separator part sep
+    or to one of the sides s1 and s2, OR-ing into a side the vertex's bit and
+    the non-cover vertices that see it. At a leaf the candidate is the
+    separator part plus the vertices that see both sides (the sides' cover
+    bits are disjoint, so s1 & s2 holds only non-cover vertices).
 
     A minimal separator S is rebuilt from D1 = W ∩ C1 and D2 = W - S - C1
     for a full component C1 of G - S. No edge joins two components of G - S,
@@ -111,15 +107,15 @@ def _sep_walk(task) -> set[int]:
     would put a cover vertex on the side opposite one of its cover
     neighbours.
     """
-    state, rest = task
-    k = len(rest)
+    cover = _cover_sees(adj, wmask)
+    k = len(cover)
     out: set[int] = set()
 
     def walk(i: int, sep: int, s1: int, s2: int) -> None:
         if i == k:
             out.add(sep | (s1 & s2))
             return
-        b, t, c = rest[i]
+        b, t, c = cover[i]
         i += 1
         walk(i, sep | b, s1, s2)
         if not c & s2:
@@ -127,41 +123,18 @@ def _sep_walk(task) -> set[int]:
         if not c & s1:
             walk(i, sep, s1, s2 | t)
 
-    walk(0, *state)
+    walk(0, 0, 0, 0)
     return out
 
 
-def _sep_masks_by_vc(g: Graph, wmask: int, jobs: int = 1) -> list[int]:
+def _sep_masks_by_vc(g: Graph, wmask: int) -> list[int]:
     """Verified minimal-separator masks from the 3-partition sweep of the cover."""
     adj = g.adj
-    cover = _cover_sees(adj, wmask)
-    if jobs <= 1:
-        cands = _sep_walk(((0, 0, 0), cover))
-    else:
-        # One task per assignment of the first few cover vertices, enough
-        # tasks to give each worker several.
-        states = [(0, 0, 0)]
-        head = 0
-        while head < len(cover) and len(states) < 4 * jobs:
-            b, t, c = cover[head]
-            nxt = []
-            for sep, s1, s2 in states:
-                nxt.append((sep | b, s1, s2))
-                if not c & s2:
-                    nxt.append((sep, s1 | t, s2))
-                if not c & s1:
-                    nxt.append((sep, s1, s2 | t))
-            states = nxt
-            head += 1
-        cands = set()
-        with Pool(processes=jobs) as pool:
-            for part in pool.map(_sep_walk, [(st, cover[head:]) for st in states]):
-                cands |= part
     full = g.full_mask
-    return [m for m in cands if _min_sep_mask(adj, m, full)]
+    return [m for m in _sep_walk(adj, wmask) if _min_sep_mask(adj, m, full)]
 
 
-def separators_by_vc(g: Graph, w: VertexSet, jobs: int = 1) -> list[VertexSet]:
+def separators_by_vc(g: Graph, w: VertexSet) -> list[VertexSet]:
     """All minimal separators of g, enumerated through the vertex cover w.
 
     For each three-partition (D1, S, D2) of w with no edge between D1 and D2
@@ -170,7 +143,7 @@ def separators_by_vc(g: Graph, w: VertexSet, jobs: int = 1) -> list[VertexSet]:
     The result is complete and has at most 3^|w| members.
     """
     _require_cover(g, w)
-    return canonical_sets(_sep_masks_by_vc(g, w.mask, jobs=jobs))
+    return canonical_sets(_sep_masks_by_vc(g, w.mask))
 
 
 def _pmc_walk(adj: tuple[int, ...], wmask: int) -> set[int]:

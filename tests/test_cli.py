@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 
 import pytest
 
@@ -141,6 +142,23 @@ class TestSchemaAndCommands:
         )
         assert one["results"] == two["results"]
 
+    @pytest.mark.parametrize("graph", [
+        ["--family", "watermelon", "--p", "5", "--q", "3"],
+        ["--family", "gnp", "--n", "10", "--prob", "0.4", "--seed", "3"],
+    ])
+    @pytest.mark.parametrize("command", [["enum", "seps"], ["count", "--what", "both"]])
+    def test_vc_route_ignores_jobs(self, capsys, monkeypatch, command, graph):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(pmckit.recognition, "Pool", no_pool)
+        argv = command + graph + ["--method", "vc"]
+        _, one = run_cli(capsys, argv + ["--jobs", "1"])
+        code, two = run_cli(capsys, argv + ["--jobs", "2"])
+        assert code == 0
+        assert two == one
+
 
 class TestExitCodes:
     def test_missing_file(self, capsys):
@@ -193,10 +211,29 @@ class TestInputGuards:
             started.append(kwargs)
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(pmckit.vc, "Pool", no_pool)
         monkeypatch.setattr(pmckit.recognition, "Pool", no_pool)
         assert main(argv + ["--jobs", jobs]) == 2
         assert started == []
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_deep_inputs_exit_2_without_traceback(self, capsys, tmp_path):
+        # a threshold graph (odd i joined to every earlier vertex) nests 500
+        # modules; a 2100-vertex path makes the cover search recurse per vertex
+        n = 500
+        edges = [(i, j) for i in range(1, n, 2) for j in range(i)]
+        p = tmp_path / "threshold.gr"
+        p.write_text(f"p tw {n} {len(edges)}\n" + "".join(f"{i + 1} {j + 1}\n" for i, j in edges))
+        for argv in (
+            ["decompose", "--input", str(p)],
+            ["solve", "tw", "--method", "mw", "--input", str(p)],
+            ["enum", "seps", "--family", "path", "--n", "2100"],
+        ):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and "recursion" in err, argv
+
+    def test_decompose_takes_no_jobs(self, capsys):
+        assert main(["decompose", "--family", "cube", "--jobs", "2"]) == 2
         assert "--jobs" in capsys.readouterr().err
 
     def test_generated_vertex_limit(self, capsys):
@@ -344,8 +381,8 @@ class TestVerifyMismatch:
 
         real = cli_mod.separators_by_vc
 
-        def lossy(g, w, jobs=1):
-            return real(g, w, jobs=jobs)[1:]
+        def lossy(g, w):
+            return real(g, w)[1:]
 
         monkeypatch.setattr(cli_mod, "separators_by_vc", lossy)
         code, blob = run_json(capsys, ["verify", "--family", "cube"])

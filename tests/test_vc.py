@@ -29,9 +29,8 @@ from pmckit import (
     separators_by_vc,
     watermelon,
 )
-import pmckit.vc
 from pmckit.bitset import iter_bits
-from pmckit.vc import _cover_sees, _pmc_walk, _sep_walk
+from pmckit.vc import _pmc_walk, _sep_walk
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -147,7 +146,7 @@ class TestPartitionSpaces:
                 if joined(g, d1, d2):
                     continue
                 want.add(sep | sum(1 << x for x, ax in nonw if ax & d1 and ax & d2))
-            assert _sep_walk(((0, 0, 0), _cover_sees(g.adj, w))) == want, name
+            assert _sep_walk(g.adj, w) == want, name
 
     def test_four_partition_walk_matches_generator(self, quick_corpus):
         for name, g in quick_corpus[::4]:
@@ -204,45 +203,10 @@ class TestSeparatorsByVc:
         bigger = VertexSet(cover.mask | (g.full_mask & ~cover.mask & -(g.full_mask & ~cover.mask)))
         got = {s.mask for s in separators_by_vc(g, bigger)}
         assert got == {s.mask for s in brute_force_separators(g)}
-
-    def test_jobs_do_not_change_results(self):
-        g = gnp(9, 0.4, 7)
-        w = minimum_vertex_cover(g)
-        assert separators_by_vc(g, w, jobs=3) == separators_by_vc(g, w)
-
-    def test_jobs_split_walk_on_watermelon(self):
-        g = watermelon(5, 3)
-        w = minimum_vertex_cover(g)
-        assert separators_by_vc(g, w, jobs=2) == separators_by_vc(g, w)
-
-    def test_jobs_split_prunes_like_the_walk(self, monkeypatch):
         # gnp(10,0.4,3) has cover edges, unlike watermelon's independent
-        # cover; with cover V every edge is one
+        # cover; with cover V every edge is one, so the walk prunes often
         g = gnp(10, 0.4, 3)
-        assert separators_by_vc(g, VertexSet(g.full_mask), jobs=2) == brute_force_separators(g)
-        # a split that skipped the prune would hand the workers partial
-        # states whose leaves the serial walk never visits
-        w = minimum_vertex_cover(g).mask
-        parts = []
-
-        class InlinePool:
-            def __init__(self, processes):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                parts.extend(fn(task) for task in tasks)
-                return list(parts)
-
-        monkeypatch.setattr(pmckit.vc, "Pool", InlinePool)
-        separators_by_vc(g, VertexSet(w), jobs=2)
-        assert len(parts) > 1
-        assert set().union(*parts) == _sep_walk(((0, 0, 0), _cover_sees(g.adj, w)))
+        assert separators_by_vc(g, VertexSet(g.full_mask)) == brute_force_separators(g)
 
     def test_matches_oracle_on_corpus_with_other_covers(self, quick_corpus):
         for name, g in quick_corpus:
