@@ -112,6 +112,8 @@ def _route_basis(g: Graph, method: str):
     The minimum vertex cover for vc, the modular decomposition tree for mw,
     None for brute.
     """
+    if g.n == 0:
+        raise InputError("graph must be nonempty")
     if method == "vc":
         return minimum_vertex_cover(g)
     if method == "mw":
@@ -119,21 +121,24 @@ def _route_basis(g: Graph, method: str):
     return None
 
 
-def _enumerate_separators(g: Graph, method: str, jobs: int, basis) -> list[VertexSet]:
-    if method == "vc":
-        return separators_by_vc(g, basis)
-    if method == "mw":
-        return enumerate_by_mw(g, basis)[0]
-    return brute_force_separators(g, cap=_env_oracle_cap(), jobs=jobs)
+def _route_lists(
+    g: Graph, method: str, jobs: int, basis, what: str = "both"
+) -> tuple[list[VertexSet] | None, PmcCatalog | None]:
+    """g's separators and PMC catalog by one route, None for a list not asked for.
 
-
-def _enumerate_pmcs(g: Graph, method: str, jobs: int, basis, seps=None) -> PmcCatalog:
-    """The route's PMC catalog; the vc route reuses ``seps``, g's separators, when given."""
-    if method == "vc":
-        return pmcs_by_vc(g, basis, separators=seps)
+    ``what`` is "seps", "pmcs" or "both". The mw route lists both in one pass;
+    the vc PMC sweep reuses the separators when both are asked for.
+    """
+    want_seps = what in ("seps", "both")
+    want_pmcs = what in ("pmcs", "both")
     if method == "mw":
-        return enumerate_by_mw(g, basis)[1]
-    return brute_force_pmcs(g, cap=_env_oracle_cap(), jobs=jobs)
+        return enumerate_by_mw(g, basis)
+    if method == "vc":
+        seps = separators_by_vc(g, basis) if want_seps else None
+        return seps, pmcs_by_vc(g, basis, separators=seps) if want_pmcs else None
+    cap = _env_oracle_cap()
+    seps = brute_force_separators(g, cap=cap, jobs=jobs) if want_seps else None
+    return seps, brute_force_pmcs(g, cap=cap, jobs=jobs) if want_pmcs else None
 
 
 def _fill_params(report: RunReport, g: Graph, method: str):
@@ -160,7 +165,7 @@ def solve_value(g: Graph, problem: str, method: str, jobs: int = 1, basis=None) 
     for comp in comps:
         sub, _ = induced_subgraph(g, comp)
         sub_basis = basis if basis is not None and len(comps) == 1 else _route_basis(sub, method)
-        catalog = _enumerate_pmcs(sub, method, jobs, sub_basis)
+        catalog = _route_lists(sub, method, jobs, sub_basis, "pmcs")[1]
         values.append(treewidth(sub, catalog) if problem == "tw" else min_fill_in(sub, catalog))
     return max(values) if problem == "tw" else sum(values)
 
@@ -173,14 +178,13 @@ def _cmd_enum(args) -> tuple[RunReport, int]:
     source, g = _resolve_graph(args)
     report = RunReport(command="enum", source=source, n=g.n, m=g.m)
     basis = _fill_params(report, g, args.method)
+    seps, catalog = _route_lists(g, args.method, args.jobs, basis, args.what)
     if args.what == "seps":
-        seps = _enumerate_separators(g, args.method, args.jobs, basis)
         report.results = {
             "separators": [vs.to_list() for vs in seps],
             "counts": {"separators": len(seps)},
         }
     else:
-        catalog = _enumerate_pmcs(g, args.method, args.jobs, basis)
         report.results = {
             "pmcs": catalog.to_lists(),
             "counts": {"pmcs": len(catalog)},
@@ -192,22 +196,16 @@ def _cmd_count(args) -> tuple[RunReport, int]:
     source, g = _resolve_graph(args)
     report = RunReport(command="count", source=source, n=g.n, m=g.m)
     basis = _fill_params(report, g, args.method)
-    want_seps = args.what in ("seps", "both")
-    want_pmcs = args.what in ("pmcs", "both")
-    if args.method == "mw":
-        seps, catalog = enumerate_by_mw(g, basis)  # one pass gives both
-    else:
-        seps = _enumerate_separators(g, args.method, args.jobs, basis) if want_seps else None
-        catalog = _enumerate_pmcs(g, args.method, args.jobs, basis, seps) if want_pmcs else None
+    seps, catalog = _route_lists(g, args.method, args.jobs, basis, args.what)
     counts: dict = {}
-    if want_seps:
+    if args.what in ("seps", "both"):
         counts["separators"] = len(seps)
         if args.family == "watermelon":
             u, v = watermelon_hubs(args.p, args.q)
             counts["uv_separators"] = sum(
                 1 for s in seps if is_minimal_uv_separator(g, s, u, v)
             )
-    if want_pmcs:
+    if args.what in ("pmcs", "both"):
         counts["pmcs"] = len(catalog)
     report.results = {"counts": counts}
     return report, 0
@@ -219,6 +217,8 @@ def _verify_targets(args) -> tuple[str, list[tuple[str, Graph]]]:
             raise InputError("--seeds requires --family gnp")
         if args.seed is not None:
             raise InputError("--seeds replaces --seed; give only one")
+        if args.input or args.p is not None or args.q is not None:
+            raise InputError("--seeds generates gnp graphs; it takes no --input, --p or --q")
         if not 1 <= args.seeds <= MAX_SEEDS:
             raise InputError(f"--seeds must be between 1 and {MAX_SEEDS}, got {args.seeds}")
         if args.n is None or args.prob is None:
@@ -251,30 +251,16 @@ def _cmd_verify(args) -> tuple[RunReport, int]:
     single = len(targets) == 1
     report = RunReport(command="verify", source=overall_source)
     for source, g in targets:
-        cover = minimum_vertex_cover(g)
-        tree = modular_decomposition(g)
-        mw_seps, mw_cat = enumerate_by_mw(g, tree)
-        vc_seps = separators_by_vc(g, cover)
-        sep_sets = {
-            "vc": {vs.mask for vs in vc_seps},
-            "mw": {vs.mask for vs in mw_seps},
-        }
-        pmc_sets = {
-            "vc": set(pmcs_by_vc(g, cover, separators=vc_seps).mask_set()),
-            "mw": set(mw_cat.mask_set()),
-        }
-        oracle = "included"
-        if g.n <= oracle_cap:
-            sep_sets["brute"] = {
-                vs.mask for vs in brute_force_separators(g, cap=oracle_cap, jobs=args.jobs)
-            }
-            pmc_sets["brute"] = set(brute_force_pmcs(g, cap=oracle_cap, jobs=args.jobs).mask_set())
-        else:
-            oracle = "skipped"
+        oracle = "included" if g.n <= oracle_cap else "skipped"
+        methods = ["brute", "mw", "vc"] if g.n <= oracle_cap else ["mw", "vc"]
         if single:
             report.n, report.m = g.n, g.m
-            report.vc = len(cover)
-            report.mw = modular_width(tree)
+        sep_sets, pmc_sets = {}, {}
+        for method in methods:
+            basis = _fill_params(report, g, method) if single else _route_basis(g, method)
+            seps, catalog = _route_lists(g, method, args.jobs, basis)
+            sep_sets[method] = {vs.mask for vs in seps}
+            pmc_sets[method] = set(catalog.mask_set())
         for check_name, sets in (("separators", sep_sets), ("pmcs", pmc_sets)):
             first = next(iter(sets.values()))
             entry = {
@@ -328,14 +314,13 @@ def _cmd_bench(args) -> tuple[RunReport, int]:
     if args.method != "brute":
         timings["vertex_cover" if args.method == "vc" else "decompose"] = _ms_since(t0)
     counts: dict = {}
-    if args.what in ("seps", "both"):
-        t0 = time.perf_counter()
-        counts["separators"] = len(_enumerate_separators(g, args.method, args.jobs, basis))
-        timings["separators"] = _ms_since(t0)
-    if args.what in ("pmcs", "both"):
-        t0 = time.perf_counter()
-        counts["pmcs"] = len(_enumerate_pmcs(g, args.method, args.jobs, basis))
-        timings["pmcs"] = _ms_since(t0)
+    # each stage runs on its own, so its timing stands alone
+    for what, key in (("seps", "separators"), ("pmcs", "pmcs")):
+        if args.what in (what, "both"):
+            t0 = time.perf_counter()
+            seps, catalog = _route_lists(g, args.method, args.jobs, basis, what)
+            counts[key] = len(seps if what == "seps" else catalog)
+            timings[key] = _ms_since(t0)
     report.results = {"counts": counts}
     report.timings_ms = timings
     return report, 0
@@ -473,10 +458,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
         return code
-    except (InputError, CapExceeded, ContractViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, CapExceeded, ContractViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -4,11 +4,12 @@ The decomposition is a plain recursive partition scheme: split on connected
 components (union node) or co-components (join node); otherwise the node is
 prime, and its maximal proper strong modules come from vertex partition
 refinement (after Habib and Paul's survey of modular decomposition, 2010).
-Enumeration walks the tree bottom-up, combining child results with
-quotient-level results, and passes every candidate through the recognizers
-once per node. Prime quotients are listed output-sensitively (the separator
-closure and the one-more-vertex PMC listing of the recognition module), their
-results expanded to the children's vertex sets; no step scans subsets.
+Enumeration walks the tree bottom-up, combining child candidates with
+quotient-level results, and passes every distinct candidate through the
+recognizers once, on the whole graph. Prime quotients are listed
+output-sensitively (the separator closure and the one-more-vertex PMC listing
+of the recognition module), their results expanded to the children's vertex
+sets; no step scans subsets.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 from .bitset import VertexSet, canonical_sets, iter_bits
 from .errors import InputError
 from .graph import Graph, _components_masks, _graph_from_adj, _nbr_mask
-from .recognition import PmcCatalog, _min_sep_mask, _pmc_listing, _pmc_mask
+from .recognition import PmcCatalog, _min_sep_mask, _pmc_listing
 
 
 @dataclass(frozen=True)
@@ -209,10 +210,16 @@ def base_enumerate(quotient: Graph) -> tuple[list[VertexSet], PmcCatalog]:
     return canonical_sets(seps), PmcCatalog.from_verified(quotient, pmcs)
 
 
-def _enumerate_node(g: Graph, node: ModuleNode) -> tuple[set[int], set[int]]:
+def _node_candidates(g: Graph, node: ModuleNode) -> tuple[set[int], set[int]]:
+    """Separator and PMC candidates of the subgraph on the node's vertices.
+
+    They contain every minimal separator and PMC of that subgraph: each is an
+    expansion of a quotient object or a child's object padded with the child's
+    outside neighborhood. Padding is monotone, so unfiltered child candidates
+    keep that property; the caller filters once, on g.
+    """
     if node.kind == "leaf":
         return set(), {node.vertices.mask}
-    child_results = [_enumerate_node(g, c) for c in node.children]
     space = node.vertices.mask
     sep_cands: set[int] = set()
     pmc_cands: set[int] = set()
@@ -228,32 +235,29 @@ def _enumerate_node(g: Graph, node: ModuleNode) -> tuple[set[int], set[int]]:
         child_sets = [c.vertices for c in node.children]
         sep_cands.update(expand(s, child_sets).mask for s in q_seps)
         pmc_cands.update(expand(o, child_sets).mask for o in q_pmcs)
-    for child, (child_seps, child_pmcs) in zip(node.children, child_results):
+    for child in node.children:
+        child_seps, child_pmcs = _node_candidates(g, child)
         nh = _nbr_mask(g.adj, child.vertices.mask) & space
-        for s in child_seps:
-            sep_cands.add(s | nh)
-        for o in child_pmcs:
-            pmc_cands.add(o | nh)
-    adj = g.adj
-    seps = {s for s in sep_cands if _min_sep_mask(adj, s, space)}
-    pmcs = {o for o in pmc_cands if o and _pmc_mask(adj, o, space)}
-    return seps, pmcs
+        sep_cands.update(s | nh for s in child_seps)
+        pmc_cands.update(o | nh for o in child_pmcs)
+    return sep_cands, pmc_cands
 
 
 def enumerate_by_mw(g: Graph, tree: ModuleTree | None = None) -> tuple[list[VertexSet], PmcCatalog]:
     """Minimal separators and PMC catalog of g via its modular decomposition.
 
-    At each tree node the candidates are expansions of quotient-level results
-    plus each child result padded with the child's outside neighborhood; all
-    candidates are verified against the node's induced subgraph, so the final
+    The tree yields candidates: at each node, expansions of quotient-level
+    results plus each child's candidates padded with the child's outside
+    neighborhood. Each distinct candidate is checked once, on g, so the final
     lists are exactly the separators and PMCs of g.
     """
     if tree is None:
         tree = modular_decomposition(g)
     elif tree.graph != g:
         raise InputError("decomposition tree was built for a different graph")
-    seps, pmcs = _enumerate_node(g, tree.root)
-    return canonical_sets(seps), PmcCatalog.from_verified(g, pmcs)
+    sep_cands, pmc_cands = _node_candidates(g, tree.root)
+    seps = [s for s in sep_cands if _min_sep_mask(g.adj, s, g.full_mask)]
+    return canonical_sets(seps), PmcCatalog.collect(g, pmc_cands)
 
 
 def tree_to_json(t: ModuleTree) -> dict:

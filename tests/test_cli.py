@@ -190,6 +190,27 @@ class TestExitCodes:
     def test_seeds_requires_gnp(self, capsys):
         assert main(["verify", "--family", "cube", "--seeds", "3"]) == 2
 
+    @pytest.mark.parametrize("extra", [["--input", "g.gr"], ["--p", "3"], ["--q", "3"]])
+    def test_seeds_takes_no_input_p_or_q(self, capsys, tmp_path, extra):
+        if extra[0] == "--input":
+            extra = ["--input", str(tmp_path / "g.gr")]
+            (tmp_path / "g.gr").write_text("p tw 2 1\n1 2\n")
+        argv = ["verify", "--family", "gnp", "--n", "5", "--prob", "0.3", "--seeds", "2"]
+        assert main(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1 and extra[0] in captured.err
+
+    @pytest.mark.parametrize("method", ["vc", "mw", "brute"])
+    @pytest.mark.parametrize("command", [
+        ["enum", "seps"], ["enum", "pmcs"], ["count", "--what", "both"], ["solve", "tw"], ["bench"],
+    ])
+    def test_zero_vertex_graph(self, capsys, tmp_path, command, method):
+        p = tmp_path / "empty.gr"
+        p.write_text("p tw 0 0\n")
+        assert main(command + ["--input", str(p), "--method", method]) == 2
+        assert "graph must be nonempty" in capsys.readouterr().err
+
     def test_brute_cap_refusal(self, capsys):
         assert main(["enum", "seps", "--family", "empty", "--n", "18", "--method", "brute"]) == 2
 
@@ -443,6 +464,14 @@ class TestWorkDoneOnce:
         code, _ = run_json(capsys, argv)
         assert code == 0
         assert len(calls) == graphs
+
+    def test_verify_runs_each_route_once_per_graph(self, capsys, monkeypatch):
+        names = ["enumerate_by_mw", "brute_force_separators", "brute_force_pmcs"]
+        calls = {name: count_calls(monkeypatch, name, [pmckit.cli]) for name in names}
+        argv = ["verify", "--family", "gnp", "--n", "8", "--prob", "0.4", "--seeds", "2"]
+        code, _ = run_json(capsys, argv)
+        assert code == 0
+        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(names, 2)
 
     def test_solve_mw_decomposes_once(self, capsys, monkeypatch):
         calls = count_calls(monkeypatch, "modular_decomposition", [pmckit.cli, pmckit.modular])

@@ -28,7 +28,7 @@ from pmckit import (
     path,
     tree_to_json,
 )
-from pmckit import modular
+from pmckit import modular, recognition
 from pmckit.bitset import iter_bits
 from pmckit.graph import Graph
 
@@ -339,14 +339,32 @@ class TestEnumerationByMw:
             }, name
             assert catalog.mask_set() == brute_force_pmcs(g).mask_set(), name
 
-    def test_deep_tree_with_modules(self):
-        # prime quotient expanded by non-trivial modules, then checked exactly
-        quotient = path(4)
-        modules = [complete(2), path(3), empty_graph(2), complete(1)]
-        h, _ = expand_graph(quotient, modules)
+    @pytest.mark.parametrize("depth", [1, 2], ids=["path4", "nested"])
+    def test_deep_tree_with_modules(self, depth):
+        # prime quotients expanded by non-trivial modules, then checked exactly;
+        # the inner prime node of the nested graph passes an invalid PMC
+        # candidate up, which only the filter at the root drops
+        h, _ = expand_graph(path(4), [complete(2), path(3), empty_graph(2), complete(1)])
+        if depth == 2:
+            h, _ = expand_graph(path(4), [h, complete(2), empty_graph(3), complete(1)])
         seps, catalog = enumerate_by_mw(h)
         assert {s.mask for s in seps} == {s.mask for s in brute_force_separators(h)}
         assert catalog.mask_set() == brute_force_pmcs(h).mask_set()
+
+    def test_recognizers_run_once_per_candidate(self):
+        # a threshold graph (odd i joined to every earlier vertex) is a cograph
+        # about n/2 levels deep; filtering at every level would cost ~n^2/4 calls
+        n = 100
+        g = Graph.from_edges(n, [(i, j) for i in range(1, n, 2) for j in range(i)])
+        with mock.patch.object(
+            modular, "_min_sep_mask", wraps=modular._min_sep_mask
+        ) as sep_calls, mock.patch.object(
+            recognition, "_pmc_mask", wraps=recognition._pmc_mask
+        ) as pmc_calls:
+            seps, catalog = enumerate_by_mw(g)
+        assert (len(seps), len(catalog)) == (49, 50)
+        assert sep_calls.call_count <= 2 * n
+        assert pmc_calls.call_count <= 2 * n
 
     def test_tree_for_wrong_graph_rejected(self):
         t = modular_decomposition(path(4))
