@@ -36,8 +36,7 @@ from .modular import (
 from .recognition import (
     DEFAULT_ORACLE_CAP,
     PmcCatalog,
-    brute_force_pmcs,
-    brute_force_separators,
+    brute_force_lists,
     is_minimal_uv_separator,
 )
 from .solvers import min_fill_in, treewidth
@@ -126,46 +125,45 @@ def _route_lists(
 ) -> tuple[list[VertexSet] | None, PmcCatalog | None]:
     """g's separators and PMC catalog by one route, None for a list not asked for.
 
-    ``what`` is "seps", "pmcs" or "both". The mw route lists both in one pass;
-    the vc PMC sweep reuses the separators when both are asked for.
+    ``what`` is "seps", "pmcs" or "both"; the mw route and the exhaustive
+    scan list both anyway. The vc PMC sweep reuses the separators.
     """
-    want_seps = what in ("seps", "both")
-    want_pmcs = what in ("pmcs", "both")
     if method == "mw":
         return enumerate_by_mw(g, basis)
-    if method == "vc":
-        seps = separators_by_vc(g, basis) if want_seps else None
-        return seps, pmcs_by_vc(g, basis, separators=seps) if want_pmcs else None
-    cap = _env_oracle_cap()
-    seps = brute_force_separators(g, cap=cap, jobs=jobs) if want_seps else None
-    return seps, brute_force_pmcs(g, cap=cap, jobs=jobs) if want_pmcs else None
+    if method == "brute":
+        return brute_force_lists(g, cap=_env_oracle_cap(), jobs=jobs)
+    seps = separators_by_vc(g, basis) if what in ("seps", "both") else None
+    return seps, pmcs_by_vc(g, basis, separators=seps) if what in ("pmcs", "both") else None
 
 
 def _fill_params(report: RunReport, g: Graph, method: str):
-    """Record the route's parameter in the report; return the route's basis."""
+    """Record the route's parameter in the report; return the route's basis.
+
+    Called once per component, it sums the covers and keeps the widest
+    modular width, which gives the whole graph's parameter.
+    """
     basis = _route_basis(g, method)
     if method == "vc":
-        report.vc = len(basis)
+        report.vc = (report.vc or 0) + len(basis)
     elif method == "mw":
-        report.mw = modular_width(basis)
+        report.mw = max(report.mw or 0, modular_width(basis))
     return basis
 
 
-def solve_value(g: Graph, problem: str, method: str, jobs: int = 1, basis=None) -> int:
+def solve_value(g: Graph, problem: str, method: str, jobs: int = 1, report=None) -> int:
     """Treewidth ('tw') or minimum fill-in ('fillin') of any graph.
 
     Splits into connected components, solves each from its PMC catalog, and
-    combines with max (treewidth) or sum (fill-in). A connected g reuses
-    ``basis``, the vertex cover or decomposition tree of g, when given.
+    combines with max (treewidth) or sum (fill-in). Each component's route
+    basis is computed once, and recorded in ``report`` when one is given.
     """
     if g.n == 0:
         raise InputError("graph must be nonempty")
-    comps = components(g, VertexSet())
     values = []
-    for comp in comps:
+    for comp in components(g, VertexSet()):
         sub, _ = induced_subgraph(g, comp)
-        sub_basis = basis if basis is not None and len(comps) == 1 else _route_basis(sub, method)
-        catalog = _route_lists(sub, method, jobs, sub_basis, "pmcs")[1]
+        basis = _route_basis(sub, method) if report is None else _fill_params(report, sub, method)
+        catalog = _route_lists(sub, method, jobs, basis, "pmcs")[1]
         values.append(treewidth(sub, catalog) if problem == "tw" else min_fill_in(sub, catalog))
     return max(values) if problem == "tw" else sum(values)
 
@@ -287,8 +285,7 @@ def _cmd_verify(args) -> tuple[RunReport, int]:
 def _cmd_solve(args) -> tuple[RunReport, int]:
     source, g = _resolve_graph(args)
     report = RunReport(command="solve", source=source, n=g.n, m=g.m)
-    basis = _fill_params(report, g, args.method)
-    value = solve_value(g, args.problem, args.method, jobs=args.jobs, basis=basis)
+    value = solve_value(g, args.problem, args.method, jobs=args.jobs, report=report)
     key = "treewidth" if args.problem == "tw" else "fill_in"
     report.results = {"counts": {key: value}}
     return report, 0

@@ -108,8 +108,10 @@ def _components_with_nbrs(adj: tuple[int, ...], space: int) -> Iterator[tuple[in
         reach = 0
         while frontier:
             nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= adj[v]
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
             reach |= nxt
             frontier = nxt & rem & ~comp
             comp |= frontier

@@ -3,6 +3,8 @@
 The recognizers are the ground truth of the package: every enumeration route
 (vertex-cover based, modular-width based, or exhaustive) only ever emits
 candidates that pass them, so over-generation anywhere upstream is harmless.
+The exhaustive scan walks the components of G - X once per subset X and
+decides both definitions from them, with the recognizer's own pair test.
 """
 
 from __future__ import annotations
@@ -41,6 +43,11 @@ def _pmc_mask(adj: tuple[int, ...], om: int, space: int) -> bool:
         if s == om:
             return False
         seps.append(s)
+    return _pairs_covered(adj, om, seps)
+
+
+def _pairs_covered(adj: tuple[int, ...], om: int, seps: list[int]) -> bool:
+    """True iff every non-adjacent pair inside ``om`` lies in one of ``seps``."""
     for u in iter_bits(om):
         cov = adj[u] | (1 << u)
         for s in seps:
@@ -244,21 +251,21 @@ def _pmc_listing(adj: tuple[int, ...], space: int) -> tuple[list[int], list[int]
     return seps, pmcs
 
 
-def _oracle_chunk(args):
-    adj, space, lo, hi, kind = args
-    out = []
-    if kind == "sep":
-        for m in range(lo, hi):
-            if _min_sep_mask(adj, m, space):
-                out.append(m)
-    else:
-        for m in range(lo, hi):
-            if m and _pmc_mask(adj, m, space):
-                out.append(m)
-    return out
+def _oracle_chunk(args) -> tuple[list[int], list[int]]:
+    """(minimal separators, PMCs) among the subsets lo..hi-1 of ``space``."""
+    adj, space, lo, hi = args
+    seps, pmcs = [], []
+    for m in range(lo, hi):
+        nbs = [nb & space for _, nb in _components_with_nbrs(adj, space & ~m)]
+        fulls = nbs.count(m)
+        if fulls >= 2:
+            seps.append(m)
+        elif m and not fulls and _pairs_covered(adj, m, nbs):
+            pmcs.append(m)
+    return seps, pmcs
 
 
-def _oracle_scan(g: Graph, kind: str, cap: int | None, jobs: int) -> list[int]:
+def _oracle_scan(g: Graph, cap: int | None, jobs: int) -> tuple[list[int], list[int]]:
     cap = DEFAULT_ORACLE_CAP if cap is None else cap
     if g.n > cap:
         raise CapExceeded(
@@ -267,22 +274,26 @@ def _oracle_scan(g: Graph, kind: str, cap: int | None, jobs: int) -> list[int]:
         )
     total = 1 << g.n
     if jobs <= 1:
-        return _oracle_chunk((g.adj, g.full_mask, 0, total, kind))
+        return _oracle_chunk((g.adj, g.full_mask, 0, total))
     step = -(-total // jobs)
-    tasks = [
-        (g.adj, g.full_mask, lo, min(lo + step, total), kind)
-        for lo in range(0, total, step)
-    ]
+    tasks = [(g.adj, g.full_mask, lo, min(lo + step, total)) for lo in range(0, total, step)]
     with Pool(processes=jobs) as pool:
         parts = pool.map(_oracle_chunk, tasks)
-    return [m for part in parts for m in part]
+    return [m for seps, _ in parts for m in seps], [m for _, pmcs in parts for m in pmcs]
+
+
+def brute_force_lists(g: Graph, cap: int | None = None,
+                      jobs: int = 1) -> tuple[list[VertexSet], PmcCatalog]:
+    """All minimal separators and all PMCs of g by one scan of every vertex subset."""
+    seps, pmcs = _oracle_scan(g, cap, jobs)
+    return canonical_sets(seps), PmcCatalog.from_verified(g, pmcs)
 
 
 def brute_force_separators(g: Graph, cap: int | None = None, jobs: int = 1) -> list[VertexSet]:
     """All minimal separators of g by scanning every vertex subset."""
-    return canonical_sets(_oracle_scan(g, "sep", cap, jobs))
+    return brute_force_lists(g, cap, jobs)[0]
 
 
 def brute_force_pmcs(g: Graph, cap: int | None = None, jobs: int = 1) -> PmcCatalog:
     """All potential maximal cliques of g by scanning every nonempty subset."""
-    return PmcCatalog.from_verified(g, _oracle_scan(g, "pmc", cap, jobs))
+    return brute_force_lists(g, cap, jobs)[1]

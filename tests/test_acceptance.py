@@ -18,8 +18,7 @@ from pmckit import (
     VertexSet,
     active_separators,
     brute_force_fill_in,
-    brute_force_pmcs,
-    brute_force_separators,
+    brute_force_lists,
     brute_force_treewidth,
     complete,
     cube,
@@ -77,15 +76,16 @@ def corpus():
                 g = gnp(n, prob, seed)
                 cover = minimum_vertex_cover(g)
                 mw_seps, mw_cat = enumerate_by_mw(g)
+                brute_seps, brute_cat = brute_force_lists(g)
                 entries.append(
                     CorpusEntry(
                         name=f"gnp({n},{prob},{seed})",
                         graph=g,
                         vc_size=len(cover),
-                        brute_seps=frozenset(s.mask for s in brute_force_separators(g)),
+                        brute_seps=frozenset(s.mask for s in brute_seps),
                         vc_seps=frozenset(s.mask for s in separators_by_vc(g, cover)),
                         mw_seps=frozenset(s.mask for s in mw_seps),
-                        brute_pmcs=brute_force_pmcs(g).mask_set(),
+                        brute_pmcs=brute_cat.mask_set(),
                         vc_pmcs=pmcs_by_vc(g).mask_set(),
                         mw_pmcs=mw_cat.mask_set(),
                     )
@@ -184,14 +184,10 @@ def test_criterion_4_bound_suite(corpus):
                     for j in range(quotient.n)
                 ]
                 h, _ = expand_graph(quotient, modules)
-                sep_bound = len(brute_force_separators(quotient)) + sum(
-                    len(brute_force_separators(m)) for m in modules
-                )
-                pmc_bound = len(brute_force_pmcs(quotient)) + sum(
-                    len(brute_force_pmcs(m)) for m in modules
-                )
-                assert len(brute_force_separators(h)) <= sep_bound
-                assert len(brute_force_pmcs(h)) <= pmc_bound
+                parts = [brute_force_lists(x) for x in (quotient, *modules)]
+                seps, catalog = brute_force_lists(h)
+                assert len(seps) <= sum(len(part_seps) for part_seps, _ in parts)
+                assert len(catalog) <= sum(len(part_pmcs) for _, part_pmcs in parts)
                 checked += 1
         assert checked >= 20
 

@@ -12,8 +12,7 @@ from hypothesis import given, settings
 import strategies
 from pmckit import (
     Graph,
-    brute_force_pmcs,
-    brute_force_separators,
+    brute_force_lists,
     complete,
     cycle,
     empty_graph,
@@ -75,8 +74,8 @@ STRUCTURED = (
 
 
 def assert_three_way(g: Graph, label: str) -> None:
-    oracle_seps = {s.mask for s in brute_force_separators(g)}
-    oracle_pmcs = brute_force_pmcs(g).mask_set()
+    seps, catalog = brute_force_lists(g)
+    oracle_seps, oracle_pmcs = {s.mask for s in seps}, catalog.mask_set()
     vc_seps = {s.mask for s in separators_by_vc(g, minimum_vertex_cover(g))}
     mw_seps, mw_catalog = enumerate_by_mw(g)
     assert vc_seps == oracle_seps, label

@@ -20,6 +20,9 @@ from pmckit import (
     expand_graph,
     gnp,
     min_fill_in,
+    minimum_vertex_cover,
+    modular_decomposition,
+    modular_width,
     parse_gr,
     path,
     pmcs_by_vc,
@@ -466,12 +469,31 @@ class TestWorkDoneOnce:
         assert len(calls) == graphs
 
     def test_verify_runs_each_route_once_per_graph(self, capsys, monkeypatch):
-        names = ["enumerate_by_mw", "brute_force_separators", "brute_force_pmcs"]
+        names = ["enumerate_by_mw", "brute_force_lists"]
         calls = {name: count_calls(monkeypatch, name, [pmckit.cli]) for name in names}
+        scans = count_calls(monkeypatch, "_oracle_scan", [pmckit.recognition])
         argv = ["verify", "--family", "gnp", "--n", "8", "--prob", "0.4", "--seeds", "2"]
         code, _ = run_json(capsys, argv)
         assert code == 0
         assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(names, 2)
+        assert len(scans) == 2  # one subset scan lists both separators and PMCs
+
+    @pytest.mark.parametrize("method, name, modules", [
+        ("mw", "modular_decomposition", [pmckit.cli, pmckit.modular]),
+        ("vc", "minimum_vertex_cover", [pmckit.cli, pmckit.vc]),
+    ])
+    def test_solve_computes_one_basis_per_component(self, capsys, monkeypatch, method, name, modules):
+        g = gnp(12, 0.15, 1)
+        want_params = {"vc": len(minimum_vertex_cover(g)) if method == "vc" else None,
+                       "mw": modular_width(modular_decomposition(g)) if method == "mw" else None}
+        calls = count_calls(monkeypatch, name, modules)
+        argv = ["solve", "tw", "--family", "gnp", "--n", "12", "--prob", "0.15", "--seed", "1",
+                "--method", method]
+        code, blob = run_json(capsys, argv)
+        assert code == 0
+        # the four components, and not the whole graph again
+        assert sorted(args[0].n for args in calls) == [1, 1, 3, 7]
+        assert blob["params"] == want_params
 
     def test_solve_mw_decomposes_once(self, capsys, monkeypatch):
         calls = count_calls(monkeypatch, "modular_decomposition", [pmckit.cli, pmckit.modular])

@@ -28,6 +28,7 @@ from pmckit import (
     watermelon,
     write_gr,
 )
+from pmckit.graph import _components_with_nbrs
 
 PROPERTY = settings(max_examples=80, deadline=None)
 
@@ -153,6 +154,48 @@ class TestGenerators:
             cycle(2)
         with pytest.raises(InputError):
             gnp(5, 1.5, 0)
+
+
+def naive_components_with_nbrs(adj, space):
+    """(C, N(C)) for each component of the graph on ``space``, by a plain vertex BFS."""
+    out, seen = [], 0
+    for v in range(len(adj)):
+        if not (space >> v) & 1 or (seen >> v) & 1:
+            continue
+        comp, queue = 1 << v, [v]
+        while queue:
+            u = queue.pop()
+            for w in range(len(adj)):
+                if (adj[u] >> w) & 1 and (space >> w) & 1 and not (comp >> w) & 1:
+                    comp |= 1 << w
+                    queue.append(w)
+        seen |= comp
+        nb = 0
+        for u in range(len(adj)):
+            if (comp >> u) & 1:
+                nb |= adj[u]
+        out.append((comp, nb & ~comp))
+    return out
+
+
+class TestComponentKernel:
+    def test_neighborhoods_reach_outside_space(self, cube_graph):
+        # a and c of the cube, without their common neighbors b and d
+        a, c = CUBE_INDEX["a"], CUBE_INDEX["c"]
+        got = list(_components_with_nbrs(cube_graph.adj, (1 << a) | (1 << c)))
+        assert got == [(1 << a, cube_graph.adj[a]), (1 << c, cube_graph.adj[c])]
+
+    def test_empty_space(self, cube_graph):
+        assert list(_components_with_nbrs(cube_graph.adj, 0)) == []
+
+    @PROPERTY
+    @given(strategies.graph_with_subset())
+    def test_matches_naive_bfs(self, gs):
+        g, space = gs
+        got = list(_components_with_nbrs(g.adj, space.mask))
+        assert got == naive_components_with_nbrs(g.adj, space.mask)
+        mins = [(comp & -comp).bit_length() for comp, _ in got]
+        assert mins == sorted(mins)
 
 
 class TestSubgraphs:

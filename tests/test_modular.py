@@ -13,7 +13,7 @@ from pmckit import (
     InputError,
     VertexSet,
     base_enumerate,
-    brute_force_pmcs,
+    brute_force_lists,
     brute_force_separators,
     complete,
     contract,
@@ -100,6 +100,13 @@ def assert_matches_reference(g: Graph) -> None:
     fast = tree_to_json(modular_decomposition(g))
     with mock.patch.object(modular, "_prime_partition", pairwise_prime_partition):
         assert fast == tree_to_json(modular_decomposition(g))
+
+
+def assert_mw_matches_oracle(g: Graph, name: str = "") -> None:
+    seps, catalog = enumerate_by_mw(g)
+    oracle_seps, oracle_catalog = brute_force_lists(g)
+    assert {s.mask for s in seps} == {s.mask for s in oracle_seps}, name
+    assert catalog.mask_set() == oracle_catalog.mask_set(), name
 
 
 def nested_composition(rng: random.Random, depth: int) -> Graph:
@@ -284,14 +291,10 @@ class TestExpandGraph:
         ]
         for quotient, modules in combos:
             h, _ = expand_graph(quotient, modules)
-            sep_bound = len(brute_force_separators(quotient)) + sum(
-                len(brute_force_separators(m)) for m in modules
-            )
-            pmc_bound = len(brute_force_pmcs(quotient)) + sum(
-                len(brute_force_pmcs(m)) for m in modules
-            )
-            assert len(brute_force_separators(h)) <= sep_bound
-            assert len(brute_force_pmcs(h)) <= pmc_bound
+            parts = [brute_force_lists(x) for x in (quotient, *modules)]
+            seps, catalog = brute_force_lists(h)
+            assert len(seps) <= sum(len(part_seps) for part_seps, _ in parts)
+            assert len(catalog) <= sum(len(part_pmcs) for _, part_pmcs in parts)
 
 
 class TestBaseEnumerate:
@@ -327,17 +330,11 @@ class TestEnumerationByMw:
         assert enumerate_by_mw(g)[1].to_lists() == [[0, 1, 2], [3, 4, 5]]
 
     def test_cube_falls_through_to_base(self, cube_graph):
-        seps, catalog = enumerate_by_mw(cube_graph)
-        assert {s.mask for s in seps} == {s.mask for s in brute_force_separators(cube_graph)}
-        assert catalog.mask_set() == brute_force_pmcs(cube_graph).mask_set()
+        assert_mw_matches_oracle(cube_graph)
 
     def test_matches_oracle_on_corpus(self, quick_corpus):
         for name, g in quick_corpus:
-            seps, catalog = enumerate_by_mw(g)
-            assert {s.mask for s in seps} == {
-                s.mask for s in brute_force_separators(g)
-            }, name
-            assert catalog.mask_set() == brute_force_pmcs(g).mask_set(), name
+            assert_mw_matches_oracle(g, name)
 
     @pytest.mark.parametrize("depth", [1, 2], ids=["path4", "nested"])
     def test_deep_tree_with_modules(self, depth):
@@ -347,9 +344,7 @@ class TestEnumerationByMw:
         h, _ = expand_graph(path(4), [complete(2), path(3), empty_graph(2), complete(1)])
         if depth == 2:
             h, _ = expand_graph(path(4), [h, complete(2), empty_graph(3), complete(1)])
-        seps, catalog = enumerate_by_mw(h)
-        assert {s.mask for s in seps} == {s.mask for s in brute_force_separators(h)}
-        assert catalog.mask_set() == brute_force_pmcs(h).mask_set()
+        assert_mw_matches_oracle(h)
 
     def test_recognizers_run_once_per_candidate(self):
         # a threshold graph (odd i joined to every earlier vertex) is a cograph

@@ -13,6 +13,7 @@ from pmckit import (
     InputError,
     VertexSet,
     active_separators,
+    brute_force_lists,
     brute_force_pmcs,
     brute_force_separators,
     complete,
@@ -234,27 +235,60 @@ class TestOracles:
 
     def test_jobs_do_not_change_results(self):
         g = gnp(9, 0.4, 5)
-        assert brute_force_separators(g, jobs=3) == brute_force_separators(g)
-        assert brute_force_pmcs(g, jobs=3).mask_set() == brute_force_pmcs(g).mask_set()
+        seps, catalog = brute_force_lists(g, jobs=3)
+        want_seps, want_catalog = brute_force_lists(g)
+        assert seps == want_seps
+        assert catalog.members == want_catalog.members
+
+    def test_each_half_is_one_oracle(self, cube_graph):
+        seps, catalog = brute_force_lists(cube_graph)
+        assert seps == brute_force_separators(cube_graph)
+        assert catalog.members == brute_force_pmcs(cube_graph).members
+
+    @pytest.mark.parametrize("g, connected", [
+        (empty_graph(1), True),
+        (empty_graph(3), False),
+        (Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]), False),
+    ], ids=["K1", "edgeless3", "path_and_edge"])
+    def test_empty_set_separates_exactly_the_disconnected_graphs(self, g, connected):
+        seps, catalog = brute_force_lists(g)
+        assert (VertexSet() in seps) == (not connected)
+        assert VertexSet() not in catalog
+        if g.n == 1:
+            assert seps == [] and catalog.to_lists() == [[0]]
+
+    def test_null_graph_lists_nothing(self):
+        seps, catalog = brute_force_lists(Graph.from_edges(0, []))
+        assert seps == [] and len(catalog) == 0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_membership_matches_recognizers(self, seed):
-        g = gnp(7, 0.35, seed)
-        seps = {s.mask for s in brute_force_separators(g)}
-        pmcs = brute_force_pmcs(g).mask_set()
-        for m in range(1 << g.n):
-            assert (m in seps) == is_minimal_separator(g, VertexSet(m))
-            if m:
-                assert (m in pmcs) == is_pmc(g, VertexSet(m))
+        assert_lists_keep_recognized_subsets(gnp(7, 0.35, seed))
+
+    @PROPERTY
+    @given(strategies.graphs(max_n=8))
+    def test_lists_keep_exactly_the_recognized_subsets(self, g):
+        assert_lists_keep_recognized_subsets(g)
+
+
+def assert_lists_keep_recognized_subsets(g):
+    """brute_force_lists keeps exactly the subsets that pass a recognizer, once each."""
+    seps, catalog = brute_force_lists(g)
+    sep_masks, pmc_masks = {s.mask for s in seps}, catalog.mask_set()
+    assert len(sep_masks) == len(seps)
+    for m in range(1 << g.n):
+        assert (m in sep_masks) == is_minimal_separator(g, VertexSet(m))
+        assert (m in pmc_masks) == (m != 0 and is_pmc(g, VertexSet(m)))
 
 
 def assert_listings_match_oracles(g, name=""):
     """Both output-sensitive listings equal the subset oracles, without repeats."""
-    seps = sorted(s.mask for s in brute_force_separators(g))
+    oracle_seps, oracle_catalog = brute_force_lists(g)
+    seps = sorted(s.mask for s in oracle_seps)
     assert sorted(_separator_closure(g.adj, g.full_mask)) == seps, name
     listed_seps, listed_pmcs = _pmc_listing(g.adj, g.full_mask)
     assert sorted(listed_seps) == seps, name
-    assert sorted(listed_pmcs) == sorted(brute_force_pmcs(g).mask_set()), name
+    assert sorted(listed_pmcs) == sorted(oracle_catalog.mask_set()), name
 
 
 class TestOutputSensitiveListings:
@@ -294,8 +328,9 @@ class TestOutputSensitiveListings:
 
         seps, pmcs = _pmc_listing(g.adj, keep.mask)
         assert sorted(_separator_closure(g.adj, keep.mask)) == sorted(seps)
-        assert sorted(seps) == lift(s.mask for s in brute_force_separators(h))
-        assert sorted(pmcs) == lift(brute_force_pmcs(h).mask_set())
+        oracle_seps, oracle_catalog = brute_force_lists(h)
+        assert sorted(seps) == lift(s.mask for s in oracle_seps)
+        assert sorted(pmcs) == lift(oracle_catalog.mask_set())
 
     def test_prime_quotients_of_the_mw_workload(self, mw_solve_quotients):
         for i, q in enumerate(mw_solve_quotients):
