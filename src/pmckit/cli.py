@@ -35,6 +35,7 @@ from .modular import (
 )
 from .recognition import (
     DEFAULT_ORACLE_CAP,
+    _ORACLE_CEILING,
     PmcCatalog,
     brute_force_lists,
     is_minimal_uv_separator,
@@ -78,9 +79,12 @@ def _env_oracle_cap() -> int:
     if raw is None:
         return DEFAULT_ORACLE_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise InputError(f"PMCKIT_ORACLE_CAP must be an integer, got {raw!r}") from None
+    if cap > _ORACLE_CEILING:
+        raise InputError(f"PMCKIT_ORACLE_CAP must be at most {_ORACLE_CEILING}, got {cap}")
+    return cap
 
 
 def _family_source(family: str, params: dict) -> str:
@@ -310,14 +314,21 @@ def _cmd_bench(args) -> tuple[RunReport, int]:
     basis = _fill_params(report, g, args.method)
     if args.method != "brute":
         timings["vertex_cover" if args.method == "vc" else "decompose"] = _ms_since(t0)
+    # mw and brute list both at once, so they time one stage; vc sweeps twice
+    if args.method == "vc":
+        stages = [(w, key) for w, key in (("seps", "separators"), ("pmcs", "pmcs"))
+                  if args.what in (w, "both")]
+    else:
+        stages = [(args.what, "lists")]
     counts: dict = {}
-    # each stage runs on its own, so its timing stands alone
-    for what, key in (("seps", "separators"), ("pmcs", "pmcs")):
-        if args.what in (what, "both"):
-            t0 = time.perf_counter()
-            seps, catalog = _route_lists(g, args.method, args.jobs, basis, what)
-            counts[key] = len(seps if what == "seps" else catalog)
-            timings[key] = _ms_since(t0)
+    for what, key in stages:
+        t0 = time.perf_counter()
+        seps, catalog = _route_lists(g, args.method, args.jobs, basis, what)
+        timings[key] = _ms_since(t0)
+        if what != "pmcs":
+            counts["separators"] = len(seps)
+        if what != "seps":
+            counts["pmcs"] = len(catalog)
     report.results = {"counts": counts}
     report.timings_ms = timings
     return report, 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -117,6 +118,42 @@ def _components_with_nbrs(adj: tuple[int, ...], space: int) -> Iterator[tuple[in
             comp |= frontier
         yield comp, reach & ~comp
         rem &= ~comp
+
+
+def _component_table(adj: tuple[int, ...], n: int) -> tuple[array, array]:
+    """(first, nbr): for each vertex set 0 <= U < 2^n, one component of G[U].
+
+    ``first[U]`` is the component C of G[U] holding U's lowest vertex and
+    ``nbr[U]`` is N(C) in the whole graph. C has no edge to U - C, so the
+    components of G[U] are C followed by those of G[U - C]: walking
+    U, U - first[U], ... lists them all, ordered by their minimum vertex.
+    Entries are filled for increasing U from U' = U - h, h its highest vertex:
+    if h touches no vertex of first[U'], the entry is U''s; otherwise h joins
+    first[U'] with every component of G[U'] it touches.
+    """
+    total = 1 << n
+    code = next(c for c in "HIQ" if array(c).itemsize * 8 >= n)
+    first = array(code, [0]) * total
+    nbr = array(code, [0]) * total
+    for h in range(n):
+        hb, ah = 1 << h, adj[h]
+        first[hb], nbr[hb] = hb, ah
+        for rest in range(1, hb):
+            low = first[rest]
+            u = rest | hb
+            if not ah & low:
+                first[u], nbr[u] = low, nbr[rest]
+                continue
+            comp, nb = low | hb, nbr[rest] | ah
+            left = rest ^ low
+            while left & ah:
+                low = first[left]
+                if low & ah:
+                    comp |= low
+                    nb |= nbr[left]
+                left ^= low
+            first[u], nbr[u] = comp, nb & ~comp
+    return first, nbr
 
 
 def _components_masks(adj: tuple[int, ...], space: int) -> list[int]:

@@ -3,7 +3,8 @@
 The recognizers are the ground truth of the package: every enumeration route
 (vertex-cover based, modular-width based, or exhaustive) only ever emits
 candidates that pass them, so over-generation anywhere upstream is harmless.
-The exhaustive scan walks the components of G - X once per subset X and
+The exhaustive scan reads the components of G - X for every subset X from
+one table of components of induced subgraphs (graph._component_table) and
 decides both definitions from them, with the recognizer's own pair test.
 """
 
@@ -14,10 +15,14 @@ from multiprocessing import Pool
 
 from .bitset import VertexSet, bit_list, canonical_sets, iter_bits
 from .errors import CapExceeded, ContractViolation, InputError
-from .graph import Graph, _components_masks, _components_with_nbrs, _validate_subset
+from .graph import (Graph, _component_table, _components_masks, _components_with_nbrs,
+                    _validate_subset)
 
 # Subset oracles refuse graphs above this size unless told otherwise.
 DEFAULT_ORACLE_CAP = 16
+# No subset oracle runs above this size, whatever its cap: each one's tables
+# have 2^n slots (the component table takes 8 MiB at 20 vertices).
+_ORACLE_CEILING = 20
 
 
 def _min_sep_mask(adj: tuple[int, ...], smask: int, space: int) -> bool:
@@ -252,11 +257,21 @@ def _pmc_listing(adj: tuple[int, ...], space: int) -> tuple[list[int], list[int]
 
 
 def _oracle_chunk(args) -> tuple[list[int], list[int]]:
-    """(minimal separators, PMCs) among the subsets lo..hi-1 of ``space``."""
-    adj, space, lo, hi = args
+    """(minimal separators, PMCs) among the subsets m = lo..hi-1 of the n vertices.
+
+    The components of G - m are read off the component table's chain from
+    the complement of m; each worker process builds its own table.
+    """
+    adj, n, lo, hi = args
+    first, nbr = _component_table(adj, n)
+    full = (1 << n) - 1
     seps, pmcs = [], []
     for m in range(lo, hi):
-        nbs = [nb & space for _, nb in _components_with_nbrs(adj, space & ~m)]
+        nbs = []
+        rest = full ^ m
+        while rest:
+            nbs.append(nbr[rest])
+            rest ^= first[rest]
         fulls = nbs.count(m)
         if fulls >= 2:
             seps.append(m)
@@ -265,18 +280,20 @@ def _oracle_chunk(args) -> tuple[list[int], list[int]]:
     return seps, pmcs
 
 
+def _refuse_oversize(n: int, cap: int, what: str) -> None:
+    """Raise CapExceeded when n is above ``cap``, or above the ceiling whatever the cap."""
+    if n > min(cap, _ORACLE_CEILING):
+        raise CapExceeded(f"{what} oracle refused: n={n} exceeds cap {min(cap, _ORACLE_CEILING)} "
+                          f"(a cap can be raised explicitly, up to {_ORACLE_CEILING})")
+
+
 def _oracle_scan(g: Graph, cap: int | None, jobs: int) -> tuple[list[int], list[int]]:
-    cap = DEFAULT_ORACLE_CAP if cap is None else cap
-    if g.n > cap:
-        raise CapExceeded(
-            f"exhaustive oracle refused: n={g.n} exceeds cap {cap} "
-            f"(raise the cap explicitly to override)"
-        )
+    _refuse_oversize(g.n, DEFAULT_ORACLE_CAP if cap is None else cap, "exhaustive")
     total = 1 << g.n
     if jobs <= 1:
-        return _oracle_chunk((g.adj, g.full_mask, 0, total))
+        return _oracle_chunk((g.adj, g.n, 0, total))
     step = -(-total // jobs)
-    tasks = [(g.adj, g.full_mask, lo, min(lo + step, total)) for lo in range(0, total, step)]
+    tasks = [(g.adj, g.n, lo, min(lo + step, total)) for lo in range(0, total, step)]
     with Pool(processes=jobs) as pool:
         parts = pool.map(_oracle_chunk, tasks)
     return [m for seps, _ in parts for m in seps], [m for _, pmcs in parts for m in pmcs]

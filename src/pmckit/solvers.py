@@ -18,9 +18,9 @@ from functools import cache, partial
 from operator import add
 
 from .bitset import VertexSet, iter_bits
-from .errors import CapExceeded, InputError
-from .graph import Graph, _components_masks, _components_with_nbrs
-from .recognition import PmcCatalog
+from .errors import InputError
+from .graph import Graph, _component_table, _components_masks, _components_with_nbrs
+from .recognition import PmcCatalog, _refuse_oversize
 
 DEFAULT_TW_ORACLE_CAP = 9
 DEFAULT_FILL_ORACLE_CAP = 8
@@ -148,77 +148,57 @@ def min_fill_in(g: Graph, catalog: PmcCatalog) -> int:
 # Elimination-order oracles
 # ---------------------------------------------------------------------------
 
-def _fill_adjacency(adj: tuple[int, ...], n: int, eliminated: int) -> list[int]:
+def _fill_adjacency(adj: tuple[int, ...], n: int, eliminated: int, table) -> list[int]:
     """Adjacency among surviving vertices after eliminating a set, as masks.
 
     Two survivors are adjacent iff they are adjacent in the input graph or
-    both border one component of the eliminated set. Entries of eliminated
-    vertices are not meaningful.
+    both border one component of the eliminated set; those components come
+    from the chain of graph._component_table's ``table``. Entries of
+    eliminated vertices are not meaningful.
     """
+    first, nbr = table
     alive = ((1 << n) - 1) & ~eliminated
     fa = [a & alive for a in adj]
-    for _, nb in _components_with_nbrs(adj, eliminated):
+    rest = eliminated
+    while rest:
+        nb = nbr[rest]
         for v in iter_bits(nb):
             fa[v] |= nb & ~(1 << v)
+        rest ^= first[rest]
     return fa
 
 
-def _check_oracle_cap(g: Graph, cap: int | None, default: int, what: str) -> None:
-    cap = default if cap is None else cap
+def _elimination_search(g: Graph, cap: int | None, default: int, what: str, cost, fold) -> int:
+    """Least fold of cost(fa, v) over all elimination orders, fa the graph v is eliminated from.
+
+    The graph reached does not depend on the order within the eliminated set,
+    so the search keeps one best value per set; every set is reached.
+    """
     if g.n == 0:
         raise InputError("graph must be nonempty")
-    if g.n > cap:
-        raise CapExceeded(f"{what} oracle refused: n={g.n} exceeds cap {cap}")
+    _refuse_oversize(g.n, default if cap is None else cap, what)
+    n, adj = g.n, g.adj
+    full = (1 << n) - 1
+    table = _component_table(adj, n)
+    dp = [_INF] * (full + 1)
+    dp[0] = 0
+    for s in range(full):
+        base = dp[s]
+        fa = _fill_adjacency(adj, n, s, table)
+        for v in iter_bits(full & ~s):
+            cand = fold(base, cost(fa, v))
+            if cand < dp[s | (1 << v)]:
+                dp[s | (1 << v)] = cand
+    return dp[full]
 
 
 def brute_force_treewidth(g: Graph, cap: int | None = None) -> int:
-    """Exact treewidth: best over all elimination orders of the largest bag met.
-
-    Search over orders collapses to subsets of already-eliminated vertices.
-    """
-    _check_oracle_cap(g, cap, DEFAULT_TW_ORACLE_CAP, "treewidth")
-    n = g.n
-    adj = g.adj
-    size = 1 << n
-    full = size - 1
-    dp = [n] * size  # width never reaches n, so n acts as infinity
-    dp[0] = -1
-    for s in range(size):
-        base = dp[s]
-        if base >= n:
-            continue
-        fa = _fill_adjacency(adj, n, s)
-        for v in iter_bits(full & ~s):
-            deg = fa[v].bit_count()
-            w = base if base > deg else deg
-            t = s | (1 << v)
-            if w < dp[t]:
-                dp[t] = w
-    return dp[full]
+    """Exact treewidth: best over all elimination orders of the largest bag met."""
+    return _elimination_search(g, cap, DEFAULT_TW_ORACLE_CAP, "treewidth",
+                               lambda fa, v: fa[v].bit_count(), max)
 
 
 def brute_force_fill_in(g: Graph, cap: int | None = None) -> int:
     """Exact minimum fill-in: fewest edges added over all elimination orders."""
-    _check_oracle_cap(g, cap, DEFAULT_FILL_ORACLE_CAP, "fill-in")
-    n = g.n
-    adj = g.adj
-    size = 1 << n
-    full = size - 1
-    big = n * n
-    dp = [big] * size
-    dp[0] = 0
-    for s in range(size):
-        base = dp[s]
-        if base >= big:
-            continue
-        fa = _fill_adjacency(adj, n, s)
-        for v in iter_bits(full & ~s):
-            nb = fa[v]
-            added = 0
-            for u in iter_bits(nb):
-                added += (nb & ~fa[u] & ~((1 << (u + 1)) - 1)).bit_count()
-            t = s | (1 << v)
-            cand = base + added
-            if cand < dp[t]:
-                dp[t] = cand
-    return dp[full]
+    return _elimination_search(g, cap, DEFAULT_FILL_ORACLE_CAP, "fill-in",
+                               lambda fa, v: _fill_pairs(fa, fa[v]), add)

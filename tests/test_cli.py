@@ -431,6 +431,18 @@ class TestOracleCapEnv:
         monkeypatch.setenv("PMCKIT_ORACLE_CAP", "many")
         assert main(["enum", "seps", "--family", "cube", "--method", "brute"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["enum", "seps", "--family", "cube", "--method", "brute"],
+        ["verify", "--family", "cube"],
+    ])
+    def test_env_cap_above_ceiling(self, capsys, monkeypatch, argv):
+        # no oracle runs above 20 vertices, so verify must not promise one
+        monkeypatch.setenv("PMCKIT_ORACLE_CAP", "21")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: PMCKIT_ORACLE_CAP must be at most 20, got 21\n"
+
 
 def count_calls(monkeypatch, name, modules):
     """Replace ``name`` in each module namespace by one shared counting wrapper."""
@@ -500,6 +512,27 @@ class TestWorkDoneOnce:
         code, blob = run_json(capsys, ["solve", "tw", "--family", "cube", "--method", "mw"])
         assert code == 0 and blob["results"]["counts"]["treewidth"] == 3
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("method, keys", [
+        ("vc", {"build", "vertex_cover", "separators", "pmcs"}),
+        ("mw", {"build", "decompose", "lists"}),
+        ("brute", {"build", "lists"}),
+    ])
+    def test_bench_lists_once(self, capsys, monkeypatch, method, keys):
+        scans = count_calls(monkeypatch, "_oracle_scan", [pmckit.recognition])
+        passes = count_calls(monkeypatch, "enumerate_by_mw", [pmckit.cli])
+        code, blob = run_json(capsys, ["bench", "--family", "cube", "--method", method, "--what", "both"])
+        assert code == 0
+        assert set(blob["timings_ms"]) == keys
+        assert blob["results"]["counts"] == {"separators": 14, "pmcs": 34}
+        assert (len(scans), len(passes)) == {"vc": (0, 0), "mw": (0, 1), "brute": (1, 0)}[method]
+
+    @pytest.mark.parametrize("what, counts", [("seps", {"separators": 14}), ("pmcs", {"pmcs": 34})])
+    def test_bench_counts_what_was_asked(self, capsys, what, counts):
+        for method in ("vc", "mw", "brute"):
+            code, blob = run_json(capsys, ["bench", "--family", "cube", "--method", method, "--what", what])
+            assert code == 0
+            assert blob["results"]["counts"] == counts, method
 
     def test_count_both_mw_enumerates_once(self, capsys, monkeypatch):
         calls = count_calls(monkeypatch, "enumerate_by_mw", [pmckit.cli])

@@ -28,7 +28,7 @@ from pmckit import (
     watermelon,
     write_gr,
 )
-from pmckit.graph import _components_with_nbrs
+from pmckit.graph import _component_table, _components_with_nbrs
 
 PROPERTY = settings(max_examples=80, deadline=None)
 
@@ -196,6 +196,39 @@ class TestComponentKernel:
         assert got == naive_components_with_nbrs(g.adj, space.mask)
         mins = [(comp & -comp).bit_length() for comp, _ in got]
         assert mins == sorted(mins)
+
+
+class TestComponentTable:
+    def test_null_graph_and_k1(self):
+        assert [list(t) for t in _component_table((), 0)] == [[0], [0]]
+        assert [list(t) for t in _component_table((0,), 1)] == [[0, 1], [0, 0]]
+
+    def test_narrowest_typecode(self):
+        assert _component_table(empty_graph(16).adj, 16)[0].typecode == "H"
+        first, nbr = _component_table(cube().adj, 8)
+        assert first.typecode == nbr.typecode == "H"
+        wide = _component_table(path(17).adj, 17)[0]
+        assert wide.itemsize * 8 >= 17
+        assert wide[(1 << 17) - 1] == (1 << 17) - 1
+
+    @PROPERTY
+    @given(strategies.graphs(max_n=9))
+    def test_matches_first_component(self, g):
+        first, nbr = _component_table(g.adj, g.n)
+        assert len(first) == len(nbr) == 1 << g.n
+        for u in range(1 << g.n):
+            assert (first[u], nbr[u]) == next(_components_with_nbrs(g.adj, u), (0, 0))
+
+    @PROPERTY
+    @given(strategies.graph_with_subset())
+    def test_chain_lists_every_component(self, gs):
+        g, space = gs
+        first, nbr = _component_table(g.adj, g.n)
+        chain, rest = [], space.mask
+        while rest:
+            chain.append((first[rest], nbr[rest]))
+            rest ^= first[rest]
+        assert chain == list(_components_with_nbrs(g.adj, space.mask))
 
 
 class TestSubgraphs:

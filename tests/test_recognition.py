@@ -5,6 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
+import pmckit.graph
+import pmckit.recognition
+import pmckit.solvers
 import strategies
 from pmckit import (
     CUBE_INDEX,
@@ -13,9 +16,11 @@ from pmckit import (
     InputError,
     VertexSet,
     active_separators,
+    brute_force_fill_in,
     brute_force_lists,
     brute_force_pmcs,
     brute_force_separators,
+    brute_force_treewidth,
     complete,
     components,
     cycle,
@@ -239,6 +244,34 @@ class TestOracles:
         want_seps, want_catalog = brute_force_lists(g)
         assert seps == want_seps
         assert catalog.members == want_catalog.members
+
+    def test_scan_runs_no_component_bfs(self, monkeypatch):
+        real, calls = pmckit.graph._components_with_nbrs, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for mod in (pmckit.graph, pmckit.recognition):
+            monkeypatch.setattr(mod, "_components_with_nbrs", counted)
+        seps, catalog = brute_force_lists(gnp(12, 0.3, 1))
+        assert seps and len(catalog)
+        assert calls == []  # every subset's components come from the one table
+
+    @pytest.mark.parametrize("oracle", [
+        lambda g: brute_force_lists(g, cap=30, jobs=2),
+        lambda g: brute_force_treewidth(g, cap=30),
+        lambda g: brute_force_fill_in(g, cap=30),
+    ], ids=["lists", "treewidth", "fill_in"])
+    def test_ceiling_refuses_before_any_table(self, monkeypatch, oracle):
+        def never(*args, **kwargs):
+            raise AssertionError("allocated for a graph above the ceiling")
+
+        for mod in (pmckit.graph, pmckit.recognition, pmckit.solvers):
+            monkeypatch.setattr(mod, "_component_table", never)
+        monkeypatch.setattr(pmckit.recognition, "Pool", never)
+        with pytest.raises(CapExceeded, match="n=21 exceeds cap 20"):
+            oracle(empty_graph(21))
 
     def test_each_half_is_one_oracle(self, cube_graph):
         seps, catalog = brute_force_lists(cube_graph)
