@@ -26,13 +26,37 @@ _ORACLE_CEILING = 20
 
 
 def _min_sep_mask(adj: tuple[int, ...], smask: int, space: int) -> bool:
-    """True iff space - smask has >= 2 components whose neighborhood is exactly smask."""
+    """True iff space - smask has >= 2 components whose neighborhood is exactly smask.
+
+    smask lies inside space. A full component sees every vertex of smask, so
+    it holds a neighbor of smask's lowest vertex v: only components grown
+    from the seeds N(v) - smask can be full (for empty smask every component
+    is full, and every vertex seeds). A component C grown inside
+    space - smask reaches only C and smask within space, so it is full iff
+    its reach holds smask.
+    """
+    rest = space & ~smask
+    seeds = adj[(smask & -smask).bit_length() - 1] & rest if smask else rest
     fulls = 0
-    for _, nb in _components_with_nbrs(adj, space & ~smask):
-        if nb & space == smask:
+    while seeds:
+        if not fulls and not seeds & (seeds - 1):
+            return False
+        comp = frontier = seeds & -seeds
+        reach = 0
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
+            reach |= nxt
+            frontier = nxt & rest & ~comp
+            comp |= frontier
+        if not smask & ~reach:
             fulls += 1
             if fulls == 2:
                 return True
+        seeds &= ~comp
     return False
 
 
@@ -52,7 +76,19 @@ def _pmc_mask(adj: tuple[int, ...], om: int, space: int) -> bool:
 
 
 def _pairs_covered(adj: tuple[int, ...], om: int, seps: list[int]) -> bool:
-    """True iff every non-adjacent pair inside ``om`` lies in one of ``seps``."""
+    """True iff every non-adjacent pair inside ``om`` lies in one of ``seps``.
+
+    The lowest vertex x of ``om`` in none of ``seps`` is tried first: its
+    pairs are covered only if it sees all of ``om``.
+    """
+    inside = 0
+    for s in seps:
+        inside |= s
+    free = om & ~inside
+    if free:
+        x = free & -free
+        if om & ~(adj[x.bit_length() - 1] | x):
+            return False
     for u in iter_bits(om):
         cov = adj[u] | (1 << u)
         for s in seps:

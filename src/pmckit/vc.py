@@ -154,9 +154,12 @@ def _pmc_walk(adj: tuple[int, ...], wmask: int) -> set[int]:
     bit into om). At a leaf, a non-cover vertex joins the candidate if it
     sees the far side Ds and a near side, or sees no far side but both near
     sides once the non-cover neighborhoods of a pair (x, y) are added to
-    sdx and sdy. The pair ranges over all vertices, a harmless superset of
-    what is needed. Swapping Dx and Dy gives the same candidates, so only
-    partitions whose first near-side vertex is in Dx are walked.
+    sdx and sdy. Each of x and y ranges over no vertex and the cover
+    vertices in Om: the active pair lies inside S, a subset of Omega, so a
+    cover member of the pair is in Om, and a non-cover member has no
+    non-cover neighbor, the same as no vertex. Swapping Dx and Dy gives the
+    same candidates, so only partitions whose first near-side vertex is in
+    Dx are walked.
 
     The walk skips every partition with a cover edge between two of Ds, Dx
     and Dy. For a PMC Omega with an active separator S = N(D), D a component
@@ -169,7 +172,7 @@ def _pmc_walk(adj: tuple[int, ...], wmask: int) -> set[int]:
     """
     cover = _cover_sees(adj, wmask)
     nonw = ~wmask
-    side_masks = {a & nonw for a in adj}
+    outs = [a & nonw for a in adj]
     k = len(cover)
     out: set[int] = set()
     update = out.update
@@ -181,8 +184,9 @@ def _pmc_walk(adj: tuple[int, ...], wmask: int) -> set[int]:
         if not quiet_near:
             out.add(base)
             return
-        xs = {quiet_near & (sdx | a) for a in side_masks}
-        ys = {quiet_near & (sdy | a) for a in side_masks}
+        sides = {0, *(outs[w] for w in iter_bits(om))}
+        xs = {quiet_near & (sdx | a) for a in sides}
+        ys = {quiet_near & (sdy | a) for a in sides}
         update([base | (mx & my) for mx in xs for my in ys])
 
     def walk(i: int, om: int, sds: int, sdx: int, sdy: int, split: bool) -> None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import pmckit.graph
 import pmckit.recognition
@@ -35,8 +35,8 @@ from pmckit import (
     path,
     pmc_separators,
 )
-from pmckit.graph import Graph
-from pmckit.recognition import _pmc_listing, _separator_closure
+from pmckit.graph import Graph, _components_with_nbrs
+from pmckit.recognition import _min_sep_mask, _pmc_listing, _separator_closure
 
 PROPERTY = settings(max_examples=80, deadline=None)
 
@@ -95,6 +95,22 @@ class TestMinimalSeparator:
     def test_matches_definition(self, gs):
         g, s = gs
         assert is_minimal_separator(g, s) == minimal_separator_by_definition(g, s)
+
+    @PROPERTY
+    @given(strategies.graph_with_subset(max_n=8))
+    @example((Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]), VertexSet(0b111111)))
+    def test_recognizer_counts_full_components(self, gs):
+        # every s inside the space, the empty set included, on spaces that
+        # are often disconnected: two full components make a separator
+        g, space = gs
+        s = space.mask
+        while True:
+            fulls = sum(nb & space.mask == s
+                        for _, nb in _components_with_nbrs(g.adj, space.mask & ~s))
+            assert _min_sep_mask(g.adj, s, space.mask) == (fulls >= 2), (g.adj, space, s)
+            if not s:
+                break
+            s = (s - 1) & space.mask
 
     @PROPERTY
     @given(strategies.graph_with_subset(max_n=7))

@@ -15,6 +15,7 @@ from pmckit import (
     VertexSet,
     active_pmcs_by_vc,
     active_separators,
+    brute_force_lists,
     brute_force_pmcs,
     brute_force_separators,
     complete,
@@ -152,7 +153,6 @@ class TestPartitionSpaces:
         for name, g in quick_corpus[::4]:
             w = minimum_vertex_cover(g).mask
             nonw = g.full_mask & ~w
-            side_masks = {a & nonw for a in g.adj}
             want = set()
             for ds, dx, dy, om in four_partitions(w):
                 if joined(g, ds, dx) or joined(g, ds, dy) or joined(g, dx, dy):
@@ -160,10 +160,18 @@ class TestPartitionSpaces:
                 sees = [sum(1 << z for z in iter_bits(nonw) if g.adj[z] & d) for d in (ds, dx, dy)]
                 near = sees[1] | sees[2]
                 quiet = nonw & ~sees[0]
+                # the pair (x, y): no vertex, or a cover vertex of Om
+                side_masks = {0} | {g.adj[x] & nonw for x in iter_bits(om)}
                 for a in side_masks:
                     for b in side_masks:
                         want.add(om | (sees[0] & near) | (quiet & near & (sees[1] | a) & (sees[2] | b)))
             assert _pmc_walk(g.adj, w) == want, name
+
+    def test_pair_choice_candidate_count(self):
+        # pins the pair cut, so candidates per graph cannot grow back unseen:
+        # (x, y) ranges over no vertex and Om's cover vertices only
+        g = gnp(24, 0.15, 1)
+        assert len(_pmc_walk(g.adj, minimum_vertex_cover(g).mask)) == 79016
 
 
 class TestSeparatorsByVc:
@@ -323,3 +331,11 @@ class TestPmcsByVc:
         g = empty_graph(3)
         got = pmcs_by_vc(g)
         assert got.to_lists() == [[0], [1], [2]]
+
+    @PROPERTY
+    @given(strategies.disconnected_graphs())
+    def test_matches_oracle_on_disconnected_graphs(self, g):
+        w = minimum_vertex_cover(g)
+        seps, pmcs = brute_force_lists(g)
+        assert separators_by_vc(g, w) == seps
+        assert pmcs_by_vc(g, w).mask_set() == pmcs.mask_set()
