@@ -127,13 +127,14 @@ def _route_basis(g: Graph, method: str):
 def _route_lists(
     g: Graph, method: str, jobs: int, basis, what: str = "both"
 ) -> tuple[list[VertexSet] | None, PmcCatalog | None]:
-    """g's separators and PMC catalog by one route, None for a list not asked for.
+    """g's separators and PMC catalog by one route; a list not asked for may be left out.
 
-    ``what`` is "seps", "pmcs" or "both"; the mw route and the exhaustive
-    scan list both anyway. The vc PMC sweep reuses the separators.
+    ``what`` is "seps", "pmcs" or "both". The vc route returns None for a
+    list not asked for, the mw route an empty separator list for "pmcs"; the
+    exhaustive scan lists both anyway. The vc PMC sweep reuses the separators.
     """
     if method == "mw":
-        return enumerate_by_mw(g, basis)
+        return enumerate_by_mw(g, basis, what)
     if method == "brute":
         return brute_force_lists(g, cap=_env_oracle_cap(), jobs=jobs)
     seps = separators_by_vc(g, basis) if what in ("seps", "both") else None

@@ -243,20 +243,24 @@ def _node_candidates(g: Graph, node: ModuleNode) -> tuple[set[int], set[int]]:
     return sep_cands, pmc_cands
 
 
-def enumerate_by_mw(g: Graph, tree: ModuleTree | None = None) -> tuple[list[VertexSet], PmcCatalog]:
+def enumerate_by_mw(g: Graph, tree: ModuleTree | None = None,
+                    what: str = "both") -> tuple[list[VertexSet], PmcCatalog]:
     """Minimal separators and PMC catalog of g via its modular decomposition.
 
     The tree yields candidates: at each node, expansions of quotient-level
     results plus each child's candidates padded with the child's outside
     neighborhood. Each distinct candidate is checked once, on g, so the final
-    lists are exactly the separators and PMCs of g.
+    lists are exactly the separators and PMCs of g. With ``what`` "pmcs" the
+    separator candidates are not filtered and the separator list is empty.
+    The catalog keeps the components of g - Omega its filter found, which the
+    solvers' block DP reads.
     """
     if tree is None:
         tree = modular_decomposition(g)
     elif tree.graph != g:
         raise InputError("decomposition tree was built for a different graph")
     sep_cands, pmc_cands = _node_candidates(g, tree.root)
-    seps = [s for s in sep_cands if _min_sep_mask(g.adj, s, g.full_mask)]
+    seps = [] if what == "pmcs" else [s for s in sep_cands if _min_sep_mask(g.adj, s, g.full_mask)]
     return canonical_sets(seps), PmcCatalog.collect(g, pmc_cands)
 
 

@@ -6,11 +6,15 @@ candidates that pass them, so over-generation anywhere upstream is harmless.
 The exhaustive scan reads the components of G - X for every subset X from
 one table of components of induced subgraphs (graph._component_table) and
 decides both definitions from them, with the recognizer's own pair test.
+The PMC recognizer returns the components of G - Omega it found, and the PMC
+catalog keeps them for the solvers' block DP.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict, deque
+from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import Pool
 
 from .bitset import VertexSet, bit_list, canonical_sets, iter_bits
@@ -23,6 +27,9 @@ DEFAULT_ORACLE_CAP = 16
 # No subset oracle runs above this size, whatever its cap: each one's tables
 # have 2^n slots (the component table takes 8 MiB at 20 vertices).
 _ORACLE_CEILING = 20
+# Components PmcCatalog.collect remembers per lowest vertex: candidates share
+# most components of G - Omega, and the last few found hold most of the reuse.
+_MEMO_DEPTH = 4
 
 
 def _min_sep_mask(adj: tuple[int, ...], smask: int, space: int) -> bool:
@@ -60,19 +67,55 @@ def _min_sep_mask(adj: tuple[int, ...], smask: int, space: int) -> bool:
     return False
 
 
-def _pmc_mask(adj: tuple[int, ...], om: int, space: int) -> bool:
-    """Potential-maximal-clique test on the subgraph induced by ``space``.
+def _pmc_pieces(adj: tuple[int, ...], om: int, space: int, known: defaultdict | None = None):
+    """The pieces (N(C) & space, C) of om, or None when om is no PMC of the subgraph on space.
 
-    Checks that every component neighborhood is a strict subset of ``om`` and
-    that every non-adjacent pair inside ``om`` is seen by a common component.
+    The pieces are the components C of space - om, by lowest vertex. om is a
+    potential maximal clique iff every N(C) & space is a strict subset of om
+    and every non-adjacent pair inside om is seen by a common component; the
+    first component seeing all of om ends the search.
+
+    The search takes the component of rem's lowest vertex v, rem being what
+    is left of space - om. ``known`` maps the bit of v to a bounded deque of
+    the last components grown from v, as (C, N[C]) pairs; each call reads
+    and extends it. A connected C inside rem with no neighbor in rem is
+    exactly a component of G[rem], so a stored C is taken when
+    N[C] & rem == C, one AND per try, and grown afresh otherwise.
     """
-    seps = []
-    for _, nb in _components_with_nbrs(adj, space & ~om):
-        s = nb & space
+    rem = space & ~om
+    pieces = []
+    while rem:
+        low = rem & -rem
+        recent = () if known is None else known[low]
+        for comp, closed in recent:
+            if closed & rem == comp:
+                break
+        else:
+            comp = frontier = low
+            closed = 0
+            while frontier:
+                nxt = 0
+                while frontier:
+                    bit = frontier & -frontier
+                    nxt |= adj[bit.bit_length() - 1]
+                    frontier ^= bit
+                closed |= nxt
+                frontier = nxt & rem & ~comp
+                comp |= frontier
+            closed |= comp
+            if known is not None:
+                recent.appendleft((comp, closed))
+        s = closed & ~comp & space
         if s == om:
-            return False
-        seps.append(s)
-    return _pairs_covered(adj, om, seps)
+            return None
+        pieces.append((s, comp))
+        rem &= ~comp
+    return tuple(pieces) if _pairs_covered(adj, om, [s for s, _ in pieces]) else None
+
+
+def _pmc_mask(adj: tuple[int, ...], om: int, space: int) -> bool:
+    """Potential-maximal-clique test on the subgraph induced by ``space``."""
+    return _pmc_pieces(adj, om, space) is not None
 
 
 def _pairs_covered(adj: tuple[int, ...], om: int, seps: list[int]) -> bool:
@@ -97,11 +140,6 @@ def _pairs_covered(adj: tuple[int, ...], om: int, seps: list[int]) -> bool:
         if om & ~cov:
             return False
     return True
-
-
-def _pmc_sep_masks(adj: tuple[int, ...], om: int, space: int) -> list[int]:
-    """Deduplicated component neighborhoods N(C_i) of space - om."""
-    return sorted({nb & space for _, nb in _components_with_nbrs(adj, space & ~om)})
 
 
 def is_minimal_separator(g: Graph, s: VertexSet) -> bool:
@@ -141,9 +179,10 @@ def pmc_separators(g: Graph, omega: VertexSet) -> list[VertexSet]:
     if not omega:
         raise InputError("omega must be nonempty")
     _validate_subset(g, omega)
-    if not _pmc_mask(g.adj, omega.mask, g.full_mask):
+    pieces = _pmc_pieces(g.adj, omega.mask, g.full_mask)
+    if pieces is None:
         raise ContractViolation(f"{omega!r} is not a potential maximal clique")
-    return canonical_sets(_pmc_sep_masks(g.adj, omega.mask, g.full_mask))
+    return canonical_sets(s for s, _ in pieces)
 
 
 @dataclass(frozen=True)
@@ -176,9 +215,10 @@ def active_separators(g: Graph, omega: VertexSet) -> list[ActivePairWitness]:
     _validate_subset(g, omega)
     adj = g.adj
     full = g.full_mask
-    if not _pmc_mask(adj, omega.mask, full):
+    pieces = _pmc_pieces(adj, omega.mask, full)
+    if pieces is None:
         raise ContractViolation(f"{omega!r} is not a potential maximal clique")
-    sep_masks = _pmc_sep_masks(adj, omega.mask, full)
+    sep_masks = {s for s, _ in pieces}
     om_bits = bit_list(omega.mask)
     witnesses = []
     for s1 in sorted(sep_masks, key=bit_list):
@@ -209,17 +249,32 @@ def active_separators(g: Graph, omega: VertexSet) -> list[ActivePairWitness]:
 
 @dataclass(frozen=True)
 class PmcCatalog:
-    """Deduplicated, verified collection of potential maximal cliques of one graph."""
+    """Deduplicated, verified collection of potential maximal cliques of one graph.
+
+    A catalog built by ``collect`` also keeps, for each member Omega in
+    order, the pieces (N(C), C) of the components C of g - Omega that the
+    recognizer found, so the block DP does not search them again.
+    """
 
     graph: Graph
     members: tuple[VertexSet, ...]
+    _pieces: tuple | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def collect(cls, g: Graph, candidate_masks) -> "PmcCatalog":
-        """Filter candidates through the PMC recognizer, dedupe, sort canonically."""
-        full = g.full_mask
-        kept = {m for m in candidate_masks if m and _pmc_mask(g.adj, m, full)}
-        return cls(graph=g, members=tuple(canonical_sets(kept)))
+        """Filter candidates through the PMC recognizer, dedupe, sort canonically.
+
+        The candidates share one component memo (see _pmc_pieces).
+        """
+        adj, full = g.adj, g.full_mask
+        known, kept = defaultdict(partial(deque, maxlen=_MEMO_DEPTH)), {}
+        for m in candidate_masks:
+            if m:
+                pieces = _pmc_pieces(adj, m, full, known)
+                if pieces is not None:
+                    kept[m] = pieces
+        members = tuple(canonical_sets(kept))
+        return cls(g, members, tuple(kept[vs.mask] for vs in members))
 
     @classmethod
     def from_verified(cls, g: Graph, masks) -> "PmcCatalog":
@@ -270,10 +325,15 @@ def _pmc_listing(adj: tuple[int, ...], space: int) -> tuple[list[int], list[int]
     """(minimal separators, PMCs) of the subgraph on ``space`` (Bouchitté, Todinca).
 
     Adds the vertices of ``space`` in ascending order. The PMCs of the prefix
-    plus a are among: each PMC of the prefix, with and without a; S + a for
-    each separator S; and S + (C & T) for each new separator S without a,
-    each full component C of S and each separator T. Candidates pass the
-    recognizer on the grown prefix.
+    plus a are among: each PMC Omega of the prefix, with or without a; S + a
+    for each separator S; and S + (C & T) for each new separator S without
+    a, each full component C of S and each separator T. Candidates pass the
+    recognizer on the grown prefix. Omega + a is a candidate only when Omega
+    fails there: if Omega is a PMC of the grown prefix, let D be the
+    component of its complement holding a and u a vertex of Omega - N(D).
+    Then a and u are non-adjacent, and no component of the grown prefix
+    minus Omega + a sees both (those inside D miss u, the others miss a), so
+    Omega + a is no PMC.
     """
     prefix, seps, pmcs = 0, [], []
     for a in iter_bits(space):
@@ -281,14 +341,21 @@ def _pmc_listing(adj: tuple[int, ...], space: int) -> tuple[list[int], list[int]
         prefix |= bit
         old_seps, seps = set(seps), _separator_closure(adj, prefix)
         # {a} is the one-vertex prefix's PMC
-        cands = {bit, *pmcs, *(o | bit for o in pmcs), *(s | bit for s in seps)}
+        cands = {bit, *(s | bit for s in seps)}
+        kept = []
+        for o in pmcs:
+            if _pmc_mask(adj, o, prefix):
+                kept.append(o)
+            else:
+                cands.add(o | bit)
         for s in seps:
             if s & bit or s in old_seps:
                 continue
             for comp, nb in _components_with_nbrs(adj, prefix & ~s):
                 if nb & prefix == s:
                     cands.update(s | (comp & t) for t in seps)
-        pmcs = [o for o in cands if _pmc_mask(adj, o, prefix)]
+        cands.difference_update(pmcs)
+        pmcs = kept + [o for o in cands if _pmc_mask(adj, o, prefix)]
     return seps, pmcs
 
 

@@ -4,7 +4,8 @@ Both solvers run one block dynamic program (Bouchitté and Todinca, SIAM J.
 Comput. 2001). A block is a minimal separator S with a full component C of
 g - S. Each PMC Omega is indexed once under every block it resolves (S
 strictly inside Omega inside S + C), one per component of g - Omega, so a
-block folds only its own PMCs. Blocks are processed by increasing
+block folds only its own PMCs; those components come with the catalog when
+its filter found them. Blocks are processed by increasing
 (|S + C|, |C|), which every recursive dependency strictly decreases, so a
 single bottom-up pass suffices. The oracles search every vertex elimination
 order instead; the graph reached after eliminating a set does not depend on
@@ -46,15 +47,17 @@ def _check_solver_input(g: Graph, catalog: PmcCatalog) -> None:
 
 
 def _catalog_entries(g: Graph, catalog: PmcCatalog):
-    """Each PMC with the components of g - Omega and their neighborhoods."""
-    adj = g.adj
-    full = g.full_mask
-    entries = []
-    for vs in catalog.members:
-        om = vs.mask
-        pieces = tuple((nb, comp) for comp, nb in _components_with_nbrs(adj, full & ~om))
-        entries.append((om, pieces))
-    return entries
+    """Each PMC with the pieces (N(C), C) of the components C of g - Omega.
+
+    A catalog from PmcCatalog.collect carries the pieces its recognizer
+    found; only a catalog wrapped by from_verified is searched here.
+    """
+    pieces = catalog._pieces
+    if pieces is None:
+        adj, full = g.adj, g.full_mask
+        pieces = [tuple((nb, comp) for comp, nb in _components_with_nbrs(adj, full & ~vs.mask))
+                  for vs in catalog.members]
+    return [(vs.mask, p) for vs, p in zip(catalog.members, pieces)]
 
 
 def _block_order(entries):

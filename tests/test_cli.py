@@ -11,8 +11,10 @@ import pytest
 import pmckit.cli
 import pmckit.modular
 import pmckit.recognition
+import pmckit.solvers
 import pmckit.vc
 from pmckit import (
+    PmcCatalog,
     complete,
     cube,
     empty_graph,
@@ -512,6 +514,21 @@ class TestWorkDoneOnce:
         code, blob = run_json(capsys, ["solve", "tw", "--family", "cube", "--method", "mw"])
         assert code == 0 and blob["results"]["counts"]["treewidth"] == 3
         assert len(calls) == 1
+
+    def test_solve_mw_searches_each_pmc_once(self, capsys, monkeypatch, tmp_path, mw_solve_quotients):
+        # the block DP reads the components of g - Omega that the catalog's
+        # filter found, and solve filters no separators, as it prints none
+        g, _ = expand_graph(path(4), mw_solve_quotients[:4])
+        searched = PmcCatalog.from_verified(g, enumerate_by_mw(g)[1].mask_set())
+        want = {"treewidth": treewidth(g, searched), "fill_in": min_fill_in(g, searched)}
+        gr = tmp_path / "g.gr"
+        gr.write_text(write_gr(g))
+        searches = count_calls(monkeypatch, "_components_with_nbrs", [pmckit.solvers])
+        sep_filter = count_calls(monkeypatch, "_min_sep_mask", [pmckit.modular])
+        for problem, key in (("tw", "treewidth"), ("fillin", "fill_in")):
+            code, blob = run_json(capsys, ["solve", problem, "--input", str(gr), "--method", "mw"])
+            assert code == 0 and blob["results"]["counts"] == {key: want[key]}
+        assert (len(searches), len(sep_filter)) == (0, 0)
 
     @pytest.mark.parametrize("method, keys", [
         ("vc", {"build", "vertex_cover", "separators", "pmcs"}),

@@ -354,7 +354,7 @@ class TestEnumerationByMw:
         with mock.patch.object(
             modular, "_min_sep_mask", wraps=modular._min_sep_mask
         ) as sep_calls, mock.patch.object(
-            recognition, "_pmc_mask", wraps=recognition._pmc_mask
+            recognition, "_pmc_pieces", wraps=recognition._pmc_pieces
         ) as pmc_calls:
             seps, catalog = enumerate_by_mw(g)
         assert (len(seps), len(catalog)) == (49, 50)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pmckit.graph
 import pmckit.recognition
@@ -14,6 +17,7 @@ from pmckit import (
     CapExceeded,
     ContractViolation,
     InputError,
+    PmcCatalog,
     VertexSet,
     active_separators,
     brute_force_fill_in,
@@ -25,16 +29,20 @@ from pmckit import (
     components,
     cycle,
     empty_graph,
+    enumerate_by_mw,
     expand,
+    expand_graph,
     gnp,
     induced_subgraph,
     is_minimal_separator,
     is_minimal_uv_separator,
     is_pmc,
+    modular_decomposition,
     neighborhood,
     path,
     pmc_separators,
 )
+from pmckit.modular import _node_candidates
 from pmckit.graph import Graph, _components_with_nbrs
 from pmckit.recognition import _min_sep_mask, _pmc_listing, _separator_closure
 
@@ -214,10 +222,13 @@ class TestActiveSeparators:
                     assert is_minimal_uv_separator(sub, sub_rest, relabel[x], relabel[y])
 
 
+def search_pieces(g, om):
+    """(N(C), C) for each component C of g - om, searched afresh."""
+    return tuple((nb, comp) for comp, nb in _components_with_nbrs(g.adj, g.full_mask & ~om))
+
+
 class TestPmcCatalog:
     def test_collect_filters_and_orders(self, cube_graph):
-        from pmckit import PmcCatalog
-
         good = cube_set("aegch").mask
         junk = cube_set("ab").mask
         catalog = PmcCatalog.collect(cube_graph, [junk, good, good, 0])
@@ -225,6 +236,28 @@ class TestPmcCatalog:
         assert len(catalog) == 1
         assert cube_set("aegch") in catalog
         assert cube_set("ab") not in catalog
+
+    @PROPERTY
+    @given(strategies.graphs(max_n=8), st.randoms(use_true_random=False))
+    def test_collect_keeps_the_pieces_of_a_fresh_search(self, g, rng):
+        # every subset, in a random order: the memo meets each component of
+        # G - X many times, from candidates where it is and is not one
+        cands = list(range(1 << g.n))
+        rng.shuffle(cands)
+        catalog = PmcCatalog.collect(g, cands)
+        assert catalog == brute_force_pmcs(g)
+        assert catalog._pieces == tuple(search_pieces(g, vs.mask) for vs in catalog.members)
+
+    def test_collect_is_independent_of_candidate_order(self, mw_solve_quotients):
+        g, _ = expand_graph(path(4), mw_solve_quotients[:4])
+        cands = list(_node_candidates(g, modular_decomposition(g).root)[1])
+        first = PmcCatalog.collect(g, cands)
+        for seed in range(3):
+            random.Random(seed).shuffle(cands)
+            again = PmcCatalog.collect(g, cands)
+            assert (again.members, again._pieces) == (first.members, first._pieces)
+        assert first._pieces == tuple(search_pieces(g, vs.mask) for vs in first.members)
+        assert first == enumerate_by_mw(g)[1]
 
 
 class TestOracles:
@@ -384,3 +417,18 @@ class TestOutputSensitiveListings:
     def test_prime_quotients_of_the_mw_workload(self, mw_solve_quotients):
         for i, q in enumerate(mw_solve_quotients):
             assert_listings_match_oracles(q, f"module {i}")
+
+    def test_pmcs_that_stay_are_not_grown(self, monkeypatch, mw_solve_quotients):
+        # a PMC of the prefix that is still one after a is added is not tried
+        # again with a; testing every PMC both ways makes 3,561 calls here
+        calls = []
+        recognize = pmckit.recognition._pmc_mask
+
+        def counted(*args):
+            calls.append(args)
+            return recognize(*args)
+
+        monkeypatch.setattr(pmckit.recognition, "_pmc_mask", counted)
+        listed = [_pmc_listing(q.adj, q.full_mask)[1] for q in mw_solve_quotients]
+        assert sum(map(len, listed)) == 470
+        assert len(calls) == 2955
