@@ -40,7 +40,7 @@ from .recognition import (
     brute_force_lists,
     is_minimal_uv_separator,
 )
-from .solvers import min_fill_in, treewidth
+from .solvers import _solve_tree, min_fill_in, treewidth
 from .vc import minimum_vertex_cover, pmcs_by_vc, separators_by_vc
 
 # Largest --jobs accepted; each job is one worker process.
@@ -158,9 +158,11 @@ def _fill_params(report: RunReport, g: Graph, method: str):
 def solve_value(g: Graph, problem: str, method: str, jobs: int = 1, report=None) -> int:
     """Treewidth ('tw') or minimum fill-in ('fillin') of any graph.
 
-    Splits into connected components, solves each from its PMC catalog, and
-    combines with max (treewidth) or sum (fill-in). Each component's route
-    basis is computed once, and recorded in ``report`` when one is given.
+    Splits into connected components, solves each, and combines with max
+    (treewidth) or sum (fill-in). The mw route solves a component along its
+    modular decomposition tree; the others run the block DP over its PMC
+    catalog. Each component's route basis is computed once, and recorded in
+    ``report`` when one is given.
     """
     if g.n == 0:
         raise InputError("graph must be nonempty")
@@ -168,6 +170,9 @@ def solve_value(g: Graph, problem: str, method: str, jobs: int = 1, report=None)
     for comp in components(g, VertexSet()):
         sub, _ = induced_subgraph(g, comp)
         basis = _route_basis(sub, method) if report is None else _fill_params(report, sub, method)
+        if method == "mw":
+            values.append(_solve_tree(basis, problem))
+            continue
         catalog = _route_lists(sub, method, jobs, basis, "pmcs")[1]
         values.append(treewidth(sub, catalog) if problem == "tw" else min_fill_in(sub, catalog))
     return max(values) if problem == "tw" else sum(values)

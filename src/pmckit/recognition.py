@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import partial
-from multiprocessing import Pool
 
 from .bitset import VertexSet, bit_list, canonical_sets, iter_bits
 from .errors import CapExceeded, ContractViolation, InputError
@@ -395,6 +394,8 @@ def _oracle_scan(g: Graph, cap: int | None, jobs: int) -> tuple[list[int], list[
     total = 1 << g.n
     if jobs <= 1:
         return _oracle_chunk((g.adj, g.n, 0, total))
+    from multiprocessing import Pool  # only worker runs pay for importing it
+
     step = -(-total // jobs)
     tasks = [(g.adj, g.n, lo, min(lo + step, total)) for lo in range(0, total, step)]
     with Pool(processes=jobs) as pool:

@@ -1,6 +1,6 @@
-"""Exact treewidth and minimum fill-in from a complete PMC catalog, plus oracles.
+"""Exact treewidth and minimum fill-in: from a PMC catalog, along the modular tree, and by oracles.
 
-Both solvers run one block dynamic program (Bouchitté and Todinca, SIAM J.
+The catalog solvers run one block dynamic program (Bouchitté and Todinca, SIAM J.
 Comput. 2001). A block is a minimal separator S with a full component C of
 g - S. Each PMC Omega is indexed once under every block it resolves (S
 strictly inside Omega inside S + C), one per component of g - Omega, so a
@@ -10,6 +10,10 @@ its filter found them. Blocks are processed by increasing
 single bottom-up pass suffices. The oracles search every vertex elimination
 order instead; the graph reached after eliminating a set does not depend on
 the order within the set, so the search memoizes on subsets and stays exact.
+The tree solver of the mw route combines both along the modular
+decomposition: closed forms at union and join nodes, the block DP on each
+prime quotient of single vertices, and the same elimination search, with
+module weights, on a prime quotient of modules.
 """
 
 from __future__ import annotations
@@ -20,11 +24,17 @@ from operator import add
 
 from .bitset import VertexSet, iter_bits
 from .errors import InputError
-from .graph import Graph, _component_table, _components_masks, _components_with_nbrs
-from .recognition import PmcCatalog, _refuse_oversize
+from .graph import (Graph, _component_table, _components_masks, _components_with_nbrs,
+                    induced_subgraph)
+from .modular import ModuleNode, ModuleTree, enumerate_by_mw
+from .recognition import PmcCatalog, _pmc_listing, _refuse_oversize
 
-DEFAULT_TW_ORACLE_CAP = 9
-DEFAULT_FILL_ORACLE_CAP = 8
+DEFAULT_TW_ORACLE_CAP = 16
+DEFAULT_FILL_ORACLE_CAP = 16
+# Largest quotient of a prime node with module children that the tree solver
+# searches by subsets (2^q sets); above it the node's subgraph is solved from
+# its PMC catalog.
+_QUOTIENT_DP_CAP = 11
 
 _INF = float("inf")
 
@@ -148,7 +158,7 @@ def min_fill_in(g: Graph, catalog: PmcCatalog) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Elimination-order oracles
+# Elimination search: the oracles and the prime step of the tree solver
 # ---------------------------------------------------------------------------
 
 def _fill_adjacency(adj: tuple[int, ...], n: int, eliminated: int, table) -> list[int]:
@@ -171,37 +181,140 @@ def _fill_adjacency(adj: tuple[int, ...], n: int, eliminated: int, table) -> lis
     return fa
 
 
-def _elimination_search(g: Graph, cap: int | None, default: int, what: str, cost, fold) -> int:
-    """Least fold of cost(fa, v) over all elimination orders, fa the graph v is eliminated from.
+def _elimination_search(adj: tuple[int, ...], modules, problem: str) -> int:
+    """Treewidth ('tw'), or the fewest edges of a chordal supergraph ('fillin'), of a substitution.
 
-    The graph reached does not depend on the order within the eliminated set,
-    so the search keeps one best value per set; every set is reached.
+    The graph is the one on adj with vertex i replaced by a module:
+    ``modules[i]`` is (value, w, e), the module's treewidth or fill-in, its
+    vertex count and its edge count; a plain vertex is (0, 1, 0). Some
+    optimal elimination order eliminates each module whole (Bodlaender and
+    Rotics, Algorithmica 2003). Module i eliminated after a set S borders,
+    in full, the survivors Q that it reaches through S, and it is already a
+    clique when one of its neighbours lies in S. Its largest bag then has
+    w(Q) + w_i - 1 vertices, else w(Q) + tw_i. It adds w_i * w(Q) edges to
+    the chordal supergraph, plus C(w_i, 2), else e_i + fill_i, inside; the
+    fill-in is that total less the graph's edges. The graph reached does not
+    depend on the order within S, so the search keeps one best value per
+    set; every set is reached.
     """
-    if g.n == 0:
-        raise InputError("graph must be nonempty")
-    _refuse_oversize(g.n, default if cap is None else cap, what)
-    n, adj = g.n, g.adj
+    n = len(adj)
     full = (1 << n) - 1
+    sizes = [w for _, w, _ in modules]
+    if problem == "tw":
+        fold, scale = max, [1] * n
+        merged = [w - 1 for w in sizes]
+        own = [value for value, _, _ in modules]
+    else:
+        fold, scale = add, sizes
+        merged = [w * (w - 1) // 2 for w in sizes]
+        own = [value + e for value, _, e in modules]
+    if max(sizes) == 1:
+        weight = int.bit_count
+    else:
+        weights = [0] * (full + 1)
+        for m in range(1, full + 1):
+            low = m & -m
+            weights[m] = weights[m ^ low] + sizes[low.bit_length() - 1]
+        weight = weights.__getitem__
     table = _component_table(adj, n)
     dp = [_INF] * (full + 1)
     dp[0] = 0
     for s in range(full):
         base = dp[s]
         fa = _fill_adjacency(adj, n, s, table)
-        for v in iter_bits(full & ~s):
-            cand = fold(base, cost(fa, v))
-            if cand < dp[s | (1 << v)]:
-                dp[s | (1 << v)] = cand
+        rest = full & ~s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            cand = fold(base, scale[v] * weight(fa[v]) + (merged[v] if adj[v] & s else own[v]))
+            if cand < dp[s | low]:
+                dp[s | low] = cand
     return dp[full]
+
+
+def _oracle_search(g: Graph, cap: int | None, default: int, what: str, problem: str) -> int:
+    if g.n == 0:
+        raise InputError("graph must be nonempty")
+    _refuse_oversize(g.n, default if cap is None else cap, what)
+    value = _elimination_search(g.adj, [(0, 1, 0)] * g.n, problem)
+    return value if problem == "tw" else value - g.m
 
 
 def brute_force_treewidth(g: Graph, cap: int | None = None) -> int:
     """Exact treewidth: best over all elimination orders of the largest bag met."""
-    return _elimination_search(g, cap, DEFAULT_TW_ORACLE_CAP, "treewidth",
-                               lambda fa, v: fa[v].bit_count(), max)
+    return _oracle_search(g, cap, DEFAULT_TW_ORACLE_CAP, "treewidth", "tw")
 
 
 def brute_force_fill_in(g: Graph, cap: int | None = None) -> int:
     """Exact minimum fill-in: fewest edges added over all elimination orders."""
-    return _elimination_search(g, cap, DEFAULT_FILL_ORACLE_CAP, "fill-in",
-                               lambda fa, v: _fill_pairs(fa, fa[v]), add)
+    return _oracle_search(g, cap, DEFAULT_FILL_ORACLE_CAP, "fill-in", "fillin")
+
+
+# ---------------------------------------------------------------------------
+# Solving along the modular decomposition tree
+# ---------------------------------------------------------------------------
+
+def _catalog_value(g: Graph, catalog: PmcCatalog, problem: str) -> int:
+    return treewidth(g, catalog) if problem == "tw" else min_fill_in(g, catalog)
+
+
+def _by_catalog(node: ModuleNode) -> bool:
+    """True for a prime node the tree solver hands to the catalog of its subgraph."""
+    return (node.kind == "prime" and len(node.children) > _QUOTIENT_DP_CAP
+            and any(c.kind != "leaf" for c in node.children))
+
+
+def _node_value(g: Graph, node: ModuleNode, kids: list, problem: str) -> tuple[int, int, int]:
+    """(value, |M|, e(M)) of the module M of a node, from the triples of its children."""
+    if node.kind == "leaf":
+        return 0, 1, 0
+    w = len(node.vertices)
+    if _by_catalog(node):
+        sub, _ = induced_subgraph(g, node.vertices)
+        return _catalog_value(sub, enumerate_by_mw(sub, what="pmcs")[1], problem), w, sub.m
+    q = node.quotient
+    e = sum(k[2] for k in kids) + sum(kids[i][1] * kids[j][1] for i, j in q.edges())
+    tw = problem == "tw"
+    if node.kind == "union":
+        value = (max if tw else sum)(k[0] for k in kids)
+    elif node.kind == "join":
+        # all but one child end up cliques (Bodlaender and Möhring 1993; a
+        # non-edge in each of two children would leave a chordless 4-cycle)
+        if tw:
+            value = min(kv + w - kw for kv, kw, _ in kids)
+        else:
+            missing = [kw * (kw - 1) // 2 - ke for _, kw, ke in kids]
+            value = sum(missing) + min(kv - m for (kv, _, _), m in zip(kids, missing))
+    elif all(c.kind == "leaf" for c in node.children):
+        value = _catalog_value(q, PmcCatalog.from_verified(q, _pmc_listing(q.adj, q.full_mask)[1]),
+                               problem)
+    else:
+        value = _elimination_search(q.adj, kids, problem) - (0 if tw else e)
+    return value, w, e
+
+
+def _solve_tree(tree: ModuleTree, problem: str) -> int:
+    """Treewidth ('tw') or minimum fill-in of a graph along its modular decomposition tree.
+
+    Walks the tree bottom-up, with an explicit stack, and keeps (value,
+    |M|, e(M)) for each module M. A union takes the max (treewidth) or sum
+    (fill-in) of its children, and a join the best child solved inside
+    with every other child completed. A prime node whose children are all
+    single vertices is its own quotient, solved by the block DP over the
+    quotient's PMC listing; a prime node with module children runs the
+    weighted elimination search over its quotient, or above
+    _QUOTIENT_DP_CAP children the block DP over the catalog of its
+    subgraph, whose subtree is then not walked.
+    """
+    order, stack = [], [tree.root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if not _by_catalog(node):
+            stack.extend(node.children)
+    done: dict[int, tuple[int, int, int]] = {}
+    for node in reversed(order):
+        kids = [] if _by_catalog(node) else [done.pop(id(c)) for c in node.children]
+        done[id(node)] = _node_value(tree.graph, node, kids, problem)
+    return done[id(tree.root)][0]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from pmckit import Graph, VertexSet
+from pmckit import Graph, VertexSet, complete, cycle, empty_graph, expand_graph, gnp, path
 
 
 @st.composite
@@ -36,3 +36,30 @@ def disconnected_graphs(draw, max_part: int = 5) -> Graph:
     place = draw(st.permutations(range(n)))
     edges = [*a.edges(), *((u + a.n, v + a.n) for u, v in b.edges())]
     return Graph.from_edges(n, [(place[u], place[v]) for u, v in edges])
+
+
+@st.composite
+def _quotients(draw, k: int) -> Graph:
+    kind = draw(st.sampled_from(("gnp", "path", "cycle", "complete", "empty")))
+    if kind == "gnp":
+        return gnp(k, draw(st.sampled_from((0.3, 0.5, 0.7))), draw(st.integers(0, 1 << 16)))
+    if kind == "cycle" and k >= 3:
+        return cycle(k)
+    return {"complete": complete, "empty": empty_graph}.get(kind, path)(k)
+
+
+@st.composite
+def module_graphs(draw, max_n: int = 14, depth: int = 3) -> Graph:
+    """Nested expand_graph: a gnp, path, cycle, complete or empty quotient whose
+    vertices stay single or become module graphs drawn the same way; at most max_n
+    (>= 2) vertices in all."""
+    k = draw(st.integers(2, min(6, max_n)))
+    room = max_n - k
+    modules = []
+    for _ in range(k):
+        module = empty_graph(1)
+        if room and depth and draw(st.booleans()):
+            module = draw(module_graphs(max_n=room + 1, depth=depth - 1))
+            room -= module.n - 1
+        modules.append(module)
+    return expand_graph(draw(_quotients(k)), modules)[0]

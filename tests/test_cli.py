@@ -5,6 +5,9 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -157,12 +160,21 @@ class TestSchemaAndCommands:
             raise AssertionError("a worker pool was started")
 
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-        monkeypatch.setattr(pmckit.recognition, "Pool", no_pool)
         argv = command + graph + ["--method", "vc"]
         _, one = run_cli(capsys, argv + ["--jobs", "1"])
         code, two = run_cli(capsys, argv + ["--jobs", "2"])
         assert code == 0
         assert two == one
+
+
+class TestImports:
+    def test_cli_import_skips_multiprocessing(self):
+        # only --jobs N > 1 starts worker processes, so only it imports them
+        code = "import sys, pmckit.cli; print('multiprocessing' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout == "False\n"
 
 
 class TestExitCodes:
@@ -237,7 +249,7 @@ class TestInputGuards:
             started.append(kwargs)
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(pmckit.recognition, "Pool", no_pool)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         assert main(argv + ["--jobs", jobs]) == 2
         assert started == []
         assert "--jobs" in capsys.readouterr().err
@@ -516,19 +528,30 @@ class TestWorkDoneOnce:
         assert len(calls) == 1
 
     def test_solve_mw_searches_each_pmc_once(self, capsys, monkeypatch, tmp_path, mw_solve_quotients):
-        # the block DP reads the components of g - Omega that the catalog's
-        # filter found, and solve filters no separators, as it prints none
-        g, _ = expand_graph(path(4), mw_solve_quotients[:4])
+        # solve walks the modular tree: no catalog of the whole graph, and the
+        # PMCs of each all-leaf prime module are listed once, on its quotient
+        quotients = mw_solve_quotients[:4]
+        g, _ = expand_graph(path(4), quotients)
         searched = PmcCatalog.from_verified(g, enumerate_by_mw(g)[1].mask_set())
         want = {"treewidth": treewidth(g, searched), "fill_in": min_fill_in(g, searched)}
         gr = tmp_path / "g.gr"
         gr.write_text(write_gr(g))
-        searches = count_calls(monkeypatch, "_components_with_nbrs", [pmckit.solvers])
-        sep_filter = count_calls(monkeypatch, "_min_sep_mask", [pmckit.modular])
+        whole = count_calls(monkeypatch, "enumerate_by_mw", [pmckit.cli, pmckit.solvers])
+        listings = count_calls(monkeypatch, "_pmc_listing", [pmckit.solvers])
+        collected = []
+        collect = PmcCatalog.collect.__func__
+
+        def counted_collect(cls, graph, candidates):
+            collected.append(graph)
+            return collect(cls, graph, candidates)
+
+        monkeypatch.setattr(PmcCatalog, "collect", classmethod(counted_collect))
         for problem, key in (("tw", "treewidth"), ("fillin", "fill_in")):
             code, blob = run_json(capsys, ["solve", problem, "--input", str(gr), "--method", "mw"])
             assert code == 0 and blob["results"]["counts"] == {key: want[key]}
-        assert (len(searches), len(sep_filter)) == (0, 0)
+            assert sorted(adj for adj, _ in listings) == sorted(q.adj for q in quotients)
+            listings.clear()
+        assert whole == [] and g not in collected
 
     @pytest.mark.parametrize("method, keys", [
         ("vc", {"build", "vertex_cover", "separators", "pmcs"}),

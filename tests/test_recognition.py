@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 
 import pytest
@@ -318,7 +319,7 @@ class TestOracles:
 
         for mod in (pmckit.graph, pmckit.recognition, pmckit.solvers):
             monkeypatch.setattr(mod, "_component_table", never)
-        monkeypatch.setattr(pmckit.recognition, "Pool", never)
+        monkeypatch.setattr(multiprocessing, "Pool", never)
         with pytest.raises(CapExceeded, match="n=21 exceeds cap 20"):
             oracle(empty_graph(21))
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import time
 from itertools import permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,14 +21,17 @@ from pmckit import (
     cycle,
     empty_graph,
     enumerate_by_mw,
+    expand_graph,
     gnp,
     min_fill_in,
     minimum_vertex_cover,
+    modular_decomposition,
     path,
     pmcs_by_vc,
     treewidth,
     watermelon,
 )
+import pmckit.solvers
 from pmckit.bitset import iter_bits
 from pmckit.cli import solve_value
 from pmckit.graph import Graph
@@ -76,9 +81,9 @@ class TestOracles:
 
     def test_caps(self):
         with pytest.raises(CapExceeded):
-            brute_force_treewidth(empty_graph(10))
+            brute_force_treewidth(empty_graph(17))
         with pytest.raises(CapExceeded):
-            brute_force_fill_in(empty_graph(9))
+            brute_force_fill_in(empty_graph(17))
         assert brute_force_treewidth(empty_graph(10), cap=10) == 0
 
     @PROPERTY
@@ -193,3 +198,80 @@ class TestSolveValue:
     def test_chordal_fill_zero(self):
         g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (4, 5)])
         assert solve_value(g, "fillin", "mw") == 0
+
+
+def threshold(n: int) -> Graph:
+    """Odd i joined to every earlier vertex: a cograph nesting about n joins and unions."""
+    return Graph.from_edges(n, [(i, j) for i in range(1, n, 2) for j in range(i)])
+
+
+def complete_multipartite(parts) -> Graph:
+    graph, _ = expand_graph(complete(len(parts)), [empty_graph(a) for a in parts])
+    return graph
+
+
+def disjoint_union(*graphs: Graph) -> Graph:
+    graph, _ = expand_graph(empty_graph(len(graphs)), list(graphs))
+    return graph
+
+
+class TestTreeSolver:
+    # each example runs both oracles on up to 14 vertices, about 0.2 s
+    @settings(max_examples=25, deadline=None)
+    @given(strategies.module_graphs())
+    def test_matches_vc_route_and_oracles(self, g):
+        for problem, oracle in (("tw", brute_force_treewidth), ("fillin", brute_force_fill_in)):
+            value = solve_value(g, problem, "mw")
+            assert value == solve_value(g, problem, "vc"), problem
+            if g.n <= 14:
+                assert value == oracle(g), problem
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_catalog_fallback_above_the_quotient_cap(self, monkeypatch, seed):
+        # a gnp quotient of path, clique and independent modules: a prime
+        # node with module children, solved from the catalog of its subgraph
+        # once the cap is below its quotient size
+        quotient = gnp(7, 0.45, seed)
+        g, _ = expand_graph(quotient, [(path(3), complete(2), empty_graph(2), empty_graph(1))[i % 4]
+                                       for i in range(7)])
+        want = {p: solve_value(g, p, "vc") for p in ("tw", "fillin")}
+        monkeypatch.setattr(pmckit.solvers, "_QUOTIENT_DP_CAP", 2)
+        with mock.patch.object(pmckit.solvers, "enumerate_by_mw",
+                               wraps=pmckit.solvers.enumerate_by_mw) as fallback:
+            assert {p: solve_value(g, p, "mw") for p in want} == want
+        roots = [modular_decomposition(g).root]
+        primes = 0
+        while roots:
+            node = roots.pop()
+            primes += node.kind == "prime" and any(c.kind != "leaf" for c in node.children)
+            if node.kind != "prime":
+                roots.extend(node.children)
+        assert fallback.call_count == 2 * primes > 0
+
+    @pytest.mark.parametrize("parts", [(1, 1), (2, 2), (1, 2, 3), (3, 3, 1, 4), (5, 2, 2)])
+    def test_join_of_independent_sets(self, parts):
+        # every part but a largest one becomes a clique
+        g = complete_multipartite(parts)
+        assert solve_value(g, "tw", "mw") == g.n - max(parts)
+        assert solve_value(g, "fillin", "mw") == sum(a * (a - 1) // 2 for a in parts) - max(
+            a * (a - 1) // 2 for a in parts)
+
+    def test_union_takes_max_and_sum(self):
+        g = disjoint_union(cycle(4), cycle(5), complete(4), path(3))
+        tree = modular_decomposition(g)
+        assert tree.root.kind == "union"
+        assert pmckit.solvers._solve_tree(tree, "tw") == 3
+        assert pmckit.solvers._solve_tree(tree, "fillin") == 1 + 2
+
+    def test_join_of_unions(self):
+        # a join whose children are unions: each union is solved by max and
+        # sum, then the join completes all but one child
+        g, _ = expand_graph(complete(2), [disjoint_union(cycle(4), path(2)), cycle(5)])
+        assert solve_value(g, "tw", "mw") == brute_force_treewidth(g) == solve_value(g, "tw", "vc")
+        assert solve_value(g, "fillin", "mw") == brute_force_fill_in(g)
+
+    def test_deep_cograph_solves_fast(self):
+        g = threshold(300)
+        t0 = time.perf_counter()
+        assert (solve_value(g, "tw", "mw"), solve_value(g, "fillin", "mw")) == (150, 0)
+        assert time.perf_counter() - t0 < 1.0
