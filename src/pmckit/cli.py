@@ -82,6 +82,8 @@ def _env_oracle_cap() -> int:
         cap = int(raw)
     except ValueError:
         raise InputError(f"PMCKIT_ORACLE_CAP must be an integer, got {raw!r}") from None
+    if cap < 0:
+        raise InputError(f"PMCKIT_ORACLE_CAP must be at least 0, got {cap}")
     if cap > _ORACLE_CEILING:
         raise InputError(f"PMCKIT_ORACLE_CAP must be at most {_ORACLE_CEILING}, got {cap}")
     return cap

@@ -4,8 +4,10 @@ The recognizers are the ground truth of the package: every enumeration route
 (vertex-cover based, modular-width based, or exhaustive) only ever emits
 candidates that pass them, so over-generation anywhere upstream is harmless.
 The exhaustive scan reads the components of G - X for every subset X from
-one table of components of induced subgraphs (graph._component_table) and
-decides both definitions from them, with the recognizer's own pair test.
+one table of components of induced subgraphs (graph._component_table). It
+finds the separators from the table's connected sets, then tests as a PMC
+only a set whose components all border a separator other than the set
+itself (Bouchitté and Todinca's lemma), with the recognizer's own pair test.
 The PMC recognizer returns the components of G - Omega it found, and the PMC
 catalog keeps them for the solvers' block DP.
 """
@@ -15,6 +17,8 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import compress, islice
+from operator import eq
 
 from .bitset import VertexSet, bit_list, canonical_sets, iter_bits
 from .errors import CapExceeded, ContractViolation, InputError
@@ -24,7 +28,8 @@ from .graph import (Graph, _component_table, _components_masks, _components_with
 # Subset oracles refuse graphs above this size unless told otherwise.
 DEFAULT_ORACLE_CAP = 16
 # No subset oracle runs above this size, whatever its cap: each one's tables
-# have 2^n slots (the component table takes 8 MiB at 20 vertices).
+# have 2^n slots (the component table takes 8 MiB at 20 vertices, and the
+# subset scan's two flag arrays 2 MiB more).
 _ORACLE_CEILING = 20
 # Components PmcCatalog.collect remembers per lowest vertex: candidates share
 # most components of G - Omega, and the last few found hold most of the reuse.
@@ -359,27 +364,54 @@ def _pmc_listing(adj: tuple[int, ...], space: int) -> tuple[list[int], list[int]
 
 
 def _oracle_chunk(args) -> tuple[list[int], list[int]]:
-    """(minimal separators, PMCs) among the subsets m = lo..hi-1 of the n vertices.
+    """(minimal separators, PMCs) among the subsets m = lo..hi-1 of the n vertices, ascending.
 
-    The components of G - m are read off the component table's chain from
-    the complement of m; each worker process builds its own table.
+    Two passes over one component table; each worker process builds its own
+    table and runs pass 1 over all 2^n sets, then reports only its share.
+
+    Pass 1, separators. A full component of S is a connected set C with
+    N(C) = S: such a C misses S and has no neighbor outside S, so it is a
+    component of G - S, and it sees all of S. Conversely every full
+    component of S is such a set. The connected sets are the U >= 1 with
+    first[U] == U, and nbr[U] is N(U), so S is a minimal separator exactly
+    when two such U have nbr[U] == S.
+
+    Pass 2, PMCs. If m is a PMC, every component C of G - m has
+    S = N(C) a strict subset of m, and S is a minimal separator (Bouchitté
+    and Todinca): C is one full component of S. Take x in m - S; for each
+    y in S, x and y are adjacent or both border a component C' of G - m,
+    and C' differs from C since x is not in N(C). Either way y borders the
+    component D of G - S holding x, so D is a second full component, and D
+    is not C because x is in m. When S is empty, C is a whole component of
+    G and m lies in another, so G is disconnected and S is a separator.
+    The chain of G - m is walked only until a component borders all of m
+    or a set that is no separator; the pair test runs on the rest.
     """
     adj, n, lo, hi = args
     first, nbr = _component_table(adj, n)
-    full = (1 << n) - 1
-    seps, pmcs = [], []
-    for m in range(lo, hi):
+    total = 1 << n
+    seen, sep = bytearray(total), bytearray(total)
+    connected = map(eq, islice(first, 1, None), range(1, total))
+    for s in compress(islice(nbr, 1, None), connected):
+        if seen[s]:
+            sep[s] = 1
+        else:
+            seen[s] = 1
+    pmcs = []
+    full = total - 1
+    for m in range(max(lo, 1), hi):
         nbs = []
         rest = full ^ m
         while rest:
-            nbs.append(nbr[rest])
+            s = nbr[rest]
+            if s == m or not sep[s]:
+                break
+            nbs.append(s)
             rest ^= first[rest]
-        fulls = nbs.count(m)
-        if fulls >= 2:
-            seps.append(m)
-        elif m and not fulls and _pairs_covered(adj, m, nbs):
-            pmcs.append(m)
-    return seps, pmcs
+        else:
+            if _pairs_covered(adj, m, nbs):
+                pmcs.append(m)
+    return list(compress(range(lo, hi), islice(sep, lo, hi))), pmcs
 
 
 def _refuse_oversize(n: int, cap: int, what: str) -> None:

@@ -457,6 +457,18 @@ class TestOracleCapEnv:
         assert captured.out == ""
         assert captured.err == "error: PMCKIT_ORACLE_CAP must be at most 20, got 21\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["enum", "seps", "--family", "cube", "--method", "brute"],
+        ["verify", "--family", "cube"],
+    ])
+    def test_env_cap_negative(self, capsys, monkeypatch, argv):
+        # a negative cap once made verify report "oracle: skipped" silently
+        monkeypatch.setenv("PMCKIT_ORACLE_CAP", "-1")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: PMCKIT_ORACLE_CAP must be at least 0, got -1\n"
+
 
 def count_calls(monkeypatch, name, modules):
     """Replace ``name`` in each module namespace by one shared counting wrapper."""

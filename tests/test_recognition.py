@@ -45,13 +45,18 @@ from pmckit import (
 )
 from pmckit.modular import _node_candidates
 from pmckit.graph import Graph, _components_with_nbrs
-from pmckit.recognition import _min_sep_mask, _pmc_listing, _separator_closure
+from pmckit.recognition import _min_sep_mask, _oracle_chunk, _pmc_listing, _separator_closure
 
 PROPERTY = settings(max_examples=80, deadline=None)
 
 
 def vs(*idx):
     return VertexSet.of(*idx)
+
+
+def disjoint_union(*graphs: Graph) -> Graph:
+    graph, _ = expand_graph(empty_graph(len(graphs)), list(graphs))
+    return graph
 
 
 def cube_set(letters: str) -> VertexSet:
@@ -347,6 +352,47 @@ class TestOracles:
     @pytest.mark.parametrize("seed", range(8))
     def test_membership_matches_recognizers(self, seed):
         assert_lists_keep_recognized_subsets(gnp(7, 0.35, seed))
+
+    @pytest.mark.parametrize("g", [
+        gnp(12, 0.15, 1), gnp(12, 0.3, 1), gnp(12, 0.5, 1),
+        disjoint_union(gnp(6, 0.4, 2), cycle(6)),
+    ], ids=["p0.15", "p0.3", "p0.5", "disconnected"])
+    def test_membership_matches_recognizers_at_12(self, g):
+        # at 12 vertices most chains of G - m stop early, at a full
+        # component or at a neighborhood that is no separator
+        assert_lists_keep_recognized_subsets(g)
+
+    @pytest.mark.parametrize("g", [gnp(12, 0.3, 1), disjoint_union(gnp(6, 0.4, 2), cycle(6))],
+                             ids=["connected", "disconnected"])
+    def test_pair_test_sees_only_other_separators(self, monkeypatch, g):
+        seps = {s.mask for s in brute_force_lists(g)[0]}
+        real, calls = pmckit.recognition._pairs_covered, []
+
+        def checked(adj, om, nbs):
+            assert all(s in seps and s != om for s in nbs)
+            calls.append(om)
+            return real(adj, om, nbs)
+
+        monkeypatch.setattr(pmckit.recognition, "_pairs_covered", checked)
+        _, catalog = brute_force_lists(g)
+        assert catalog.mask_set() <= set(calls)
+        assert len(calls) < 1 << g.n  # most subsets never reach the pair test
+
+    def test_chunks_split_a_disconnected_scan(self):
+        g = disjoint_union(path(4), cycle(5))
+        total = 1 << g.n
+        whole = _oracle_chunk((g.adj, g.n, 0, total))
+        assert whole[0][0] == 0  # the empty set separates the two parts
+        for k in (0, 1, 37, total // 2, total - 1, total):
+            low = _oracle_chunk((g.adj, g.n, 0, k))
+            high = _oracle_chunk((g.adj, g.n, k, total))
+            assert (low[0] + high[0], low[1] + high[1]) == whole
+        for part in whole:
+            assert part == sorted(set(part))
+        seps, catalog = brute_force_lists(g, jobs=2)
+        want_seps, want_catalog = brute_force_lists(g)
+        assert seps == want_seps and VertexSet() in seps
+        assert catalog.members == want_catalog.members
 
     @PROPERTY
     @given(strategies.graphs(max_n=8))
