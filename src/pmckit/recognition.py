@@ -29,7 +29,7 @@ from .graph import (Graph, _component_table, _components_masks, _components_with
 DEFAULT_ORACLE_CAP = 16
 # No subset oracle runs above this size, whatever its cap: each one's tables
 # have 2^n slots (the component table takes 8 MiB at 20 vertices, and the
-# subset scan's two flag arrays 2 MiB more).
+# subset scan's counter array 1 MiB more).
 _ORACLE_CEILING = 20
 # Components PmcCatalog.collect remembers per lowest vertex: candidates share
 # most components of G - Omega, and the last few found hold most of the reuse.
@@ -390,13 +390,11 @@ def _oracle_chunk(args) -> tuple[list[int], list[int]]:
     adj, n, lo, hi = args
     first, nbr = _component_table(adj, n)
     total = 1 << n
-    seen, sep = bytearray(total), bytearray(total)
+    # full components per set, counted up to 2: a separator has cnt 2
+    cnt = bytearray(total)
     connected = map(eq, islice(first, 1, None), range(1, total))
     for s in compress(islice(nbr, 1, None), connected):
-        if seen[s]:
-            sep[s] = 1
-        else:
-            seen[s] = 1
+        cnt[s] += cnt[s] < 2
     pmcs = []
     full = total - 1
     for m in range(max(lo, 1), hi):
@@ -404,14 +402,14 @@ def _oracle_chunk(args) -> tuple[list[int], list[int]]:
         rest = full ^ m
         while rest:
             s = nbr[rest]
-            if s == m or not sep[s]:
+            if s == m or cnt[s] < 2:
                 break
             nbs.append(s)
             rest ^= first[rest]
         else:
             if _pairs_covered(adj, m, nbs):
                 pmcs.append(m)
-    return list(compress(range(lo, hi), islice(sep, lo, hi))), pmcs
+    return list(compress(range(lo, hi), map((1).__lt__, islice(cnt, lo, hi)))), pmcs
 
 
 def _refuse_oversize(n: int, cap: int, what: str) -> None:

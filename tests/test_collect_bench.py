@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import os
+import subprocess
 
 import pytest
 
@@ -43,3 +44,29 @@ def test_summary_keeps_a_run_without_result():
 @pytest.mark.parametrize("text, seeds", [("3", [3]), ("1-4", [1, 2, 3, 4]), ("1-2,7", [1, 2, 7])])
 def test_seed_ranges(text, seeds):
     assert collect_bench.parse_seeds(text) == seeds
+
+
+def git(repo, *args):
+    subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                   check=True, capture_output=True)
+
+
+@pytest.fixture
+def checkout(tmp_path):
+    git(tmp_path, "init", "-q")
+    (tmp_path / "BENCHMARK.json").write_text('{"command": ["false"], "run_seconds": 1, "workloads": []}\n')
+    git(tmp_path, "add", "BENCHMARK.json")
+    git(tmp_path, "commit", "-q", "-m", "seed")
+    return tmp_path
+
+
+def test_untracked_files_leave_a_checkout_clean(checkout):
+    (checkout / "notes.txt").write_text("scratch\n")
+    assert collect_bench.uncommitted(str(checkout)) == ""
+
+
+def test_dirty_checkout_is_refused(checkout, capsys):
+    (checkout / "BENCHMARK.json").write_text('{"command": ["false"], "run_seconds": 2, "workloads": []}\n')
+    assert collect_bench.uncommitted(str(checkout)).strip() == "M BENCHMARK.json"
+    assert collect_bench.main(["--checkout", str(checkout), "--note", "test"]) == 2
+    assert "uncommitted changes" in capsys.readouterr().err

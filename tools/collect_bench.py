@@ -1,14 +1,16 @@
 """Collect benchmark trajectory points: BENCH_<sha7>.json per checkout.
 
     python3 tools/collect_bench.py --checkout ../parent --checkout . \\
-        --seeds 1-10 --seconds 20 --note "2 vCPU, shared, Python 3.11"
+        --seeds 1-10 --note "2 vCPU, shared, Python 3.11"
 
-For each seed and each workload of BENCHMARK.json, runs
-`python3 bench/run.py --workload W --seed S --seconds T --trace 0` once in
-every checkout, one run at a time. The checkouts alternate seed by seed:
-the i-th seed starts with checkout i mod k, so no checkout always runs
-first. Each checkout must be a git work tree; its HEAD names the file,
-written at the root of the repository holding this script. The file holds, per workload, the median and quartiles of each end-to-end metric,
+For each seed and each workload of BENCHMARK.json, runs its `command` with
+`--workload W --seed S --seconds T --trace 0` once in every checkout, one
+run at a time, where T is its `run_seconds`. The checkouts alternate seed
+by seed: the i-th seed starts with checkout i mod k, so no checkout always
+runs first. Each checkout must be a git work tree with no uncommitted
+change to a tracked file, since its HEAD names the file, written at the
+root of the repository holding this script. The file holds, per workload,
+the median and quartiles of each end-to-end metric,
 and each run's seed, `correct`, `attempted`, `failed` and metric values,
 plus the SHA, the Python version and the --note string. Runs taken in one
 invocation are pairs that can be compared seed by seed.
@@ -76,9 +78,15 @@ def git_sha(checkout: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def bench_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One bench/run.py run in ``checkout``; a run without a result line records its stderr."""
-    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+def uncommitted(checkout: str) -> str:
+    """The tracked files of ``checkout`` that differ from its HEAD, as git status lists them."""
+    return subprocess.run(["git", "-C", checkout, "status", "--porcelain", "--untracked-files=no"],
+                          check=True, capture_output=True, text=True).stdout
+
+
+def bench_once(checkout: str, command: list[str], workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in ``checkout``; a run without a result line records its stderr."""
+    proc = subprocess.run([*command, "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds), "--trace", "0"],
                           cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -95,17 +103,22 @@ def main(argv=None) -> int:
     parser.add_argument("--checkout", action="append", required=True,
                         help="a git work tree holding bench/run.py; repeat to alternate several")
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-10"))
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--note", required=True, help="the machine the runs were taken on")
     args = parser.parse_args(argv)
 
     checkouts = [os.path.abspath(c) for c in args.checkout]
+    for checkout in checkouts:
+        if uncommitted(checkout):
+            print(f"error: {checkout} has uncommitted changes", file=sys.stderr)
+            return 2
     shas = [git_sha(c) for c in checkouts]
     if len(set(shas)) != len(shas):
         print("error: two checkouts are at the same commit", file=sys.stderr)
         return 2
     with open(os.path.join(checkouts[0], "BENCHMARK.json"), encoding="utf-8") as fh:
-        workloads = [w["name"] for w in json.load(fh)["workloads"]]
+        benchmark = json.load(fh)
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    command, seconds = benchmark["command"], benchmark["run_seconds"]
 
     runs = {sha: {w: [] for w in workloads} for sha in shas}
     for i, seed in enumerate(args.seeds):
@@ -113,7 +126,7 @@ def main(argv=None) -> int:
         order = order[i % len(order):] + order[:i % len(order)]
         for workload in workloads:
             for k in order:
-                run = bench_once(checkouts[k], workload, seed, args.seconds)
+                run = bench_once(checkouts[k], command, workload, seed, seconds)
                 runs[shas[k]][workload].append(run)
                 ops = run.get("metrics", {}).get("ops_per_s", {}).get("value")
                 print(f"{shas[k][:7]} {workload} seed {seed}: correct={run['correct']} "
@@ -124,7 +137,7 @@ def main(argv=None) -> int:
             "sha": sha,
             "python": platform.python_version(),
             "note": args.note,
-            "seconds": args.seconds,
+            "seconds": seconds,
             "seeds": args.seeds,
             "workloads": {w: summarize(runs[sha][w]) for w in workloads},
         }
