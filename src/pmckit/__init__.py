@@ -47,16 +47,12 @@ from .recognition import (
     PmcCatalog,
     active_separators,
     brute_force_lists,
-    brute_force_pmcs,
-    brute_force_separators,
     is_minimal_separator,
     is_minimal_uv_separator,
     is_pmc,
     pmc_separators,
 )
 from .solvers import (
-    DEFAULT_FILL_ORACLE_CAP,
-    DEFAULT_TW_ORACLE_CAP,
     Block,
     brute_force_fill_in,
     brute_force_treewidth,
@@ -78,9 +74,7 @@ __all__ = [
     "CUBE_INDEX",
     "CapExceeded",
     "ContractViolation",
-    "DEFAULT_FILL_ORACLE_CAP",
     "DEFAULT_ORACLE_CAP",
-    "DEFAULT_TW_ORACLE_CAP",
     "Graph",
     "GrParseError",
     "InputError",
@@ -93,8 +87,6 @@ __all__ = [
     "base_enumerate",
     "brute_force_fill_in",
     "brute_force_lists",
-    "brute_force_pmcs",
-    "brute_force_separators",
     "brute_force_treewidth",
     "canonical_sets",
     "complete",

@@ -95,27 +95,39 @@ def _nbr_mask(adj: tuple[int, ...], smask: int) -> int:
     return acc & ~smask
 
 
+def _grow(adj: tuple[int, ...], seed: int, space: int) -> tuple[int, int]:
+    """(C, R): C is the component of the subgraph on ``space`` holding ``seed``.
+
+    ``seed`` is one vertex bit inside ``space``. R is the union of adj[v]
+    over v in C, gathered from the BFS frontiers: it holds C's neighbourhood
+    in the whole graph ``adj``, so callers take R & ~C for N(C), and R | C
+    for N[C]. This is the one frontier search of the package; every search
+    for the components of G - X runs through it.
+    """
+    comp = frontier = seed
+    reach = 0
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        reach |= nxt
+        frontier = nxt & space & ~comp
+        comp |= frontier
+    return comp, reach
+
+
 def _components_with_nbrs(adj: tuple[int, ...], space: int) -> Iterator[tuple[int, int]]:
     """(C, N(C)) for each connected component C of the subgraph induced on ``space``.
 
     Components come ordered by their minimum vertex. N(C) is the neighborhood
-    of C in the whole graph ``adj``, gathered from the BFS frontiers; callers
-    working inside ``space`` intersect it with ``space``.
+    of C in the whole graph ``adj``; callers working inside ``space``
+    intersect it with ``space``.
     """
     rem = space
     while rem:
-        comp = rem & -rem
-        frontier = comp
-        reach = 0
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= adj[low.bit_length() - 1]
-                frontier ^= low
-            reach |= nxt
-            frontier = nxt & rem & ~comp
-            comp |= frontier
+        comp, reach = _grow(adj, rem & -rem, rem)
         yield comp, reach & ~comp
         rem &= ~comp
 
@@ -156,14 +168,6 @@ def _component_table(adj: tuple[int, ...], n: int) -> tuple[array, array]:
     return first, nbr
 
 
-def _components_masks(adj: tuple[int, ...], space: int) -> list[int]:
-    """Connected components of the subgraph induced on ``space``, as masks.
-
-    Ordered by their minimum vertex.
-    """
-    return [comp for comp, _ in _components_with_nbrs(adj, space)]
-
-
 def neighborhood(g: Graph, s: VertexSet) -> VertexSet:
     """N(s): union of the members' neighborhoods, minus s itself."""
     _validate_subset(g, s)
@@ -174,7 +178,7 @@ def components(g: Graph, removed: VertexSet) -> list[VertexSet]:
     """Connected components of g - removed, ordered by minimum vertex."""
     _validate_subset(g, removed)
     space = g.full_mask & ~removed.mask
-    return [VertexSet(c) for c in _components_masks(g.adj, space)]
+    return [VertexSet(c) for c, _ in _components_with_nbrs(g.adj, space)]
 
 
 def full_components(g: Graph, s: VertexSet) -> list[VertexSet]:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .bitset import VertexSet, canonical_sets, iter_bits
 from .errors import InputError
-from .graph import Graph, _components_masks, _graph_from_adj, _nbr_mask
+from .graph import Graph, _components_with_nbrs, _graph_from_adj, _nbr_mask
 from .recognition import PmcCatalog, _min_sep_mask, _pmc_listing
 
 
@@ -110,12 +110,12 @@ def _prime_partition(adj: tuple[int, ...], space: int) -> list[int]:
 def _decompose(g: Graph, co_adj: tuple[int, ...], space: int) -> ModuleNode:
     if space & (space - 1) == 0:
         return ModuleNode(kind="leaf", vertices=VertexSet(space))
-    comps = _components_masks(g.adj, space)
+    comps = [c for c, _ in _components_with_nbrs(g.adj, space)]
     if len(comps) > 1:
         children = tuple(_decompose(g, co_adj, c) for c in comps)
         quotient = _graph_from_adj(len(children), [0] * len(children))
         return ModuleNode("union", VertexSet(space), children, quotient)
-    co_comps = _components_masks(co_adj, space)
+    co_comps = [c for c, _ in _components_with_nbrs(co_adj, space)]
     if len(co_comps) > 1:
         children = tuple(_decompose(g, co_adj, c) for c in co_comps)
         p = len(children)
@@ -207,7 +207,7 @@ def expand_graph(quotient: Graph, modules: Sequence[Graph]) -> tuple[Graph, list
 def base_enumerate(quotient: Graph) -> tuple[list[VertexSet], PmcCatalog]:
     """Minimal separators and PMC catalog of a prime quotient, output-sensitively (no size cap)."""
     seps, pmcs = _pmc_listing(quotient.adj, quotient.full_mask)
-    return canonical_sets(seps), PmcCatalog.from_verified(quotient, pmcs)
+    return canonical_sets(seps), PmcCatalog.from_pieces(quotient, pmcs)
 
 
 def _node_candidates(g: Graph, node: ModuleNode) -> tuple[set[int], set[int]]:

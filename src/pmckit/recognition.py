@@ -8,8 +8,10 @@ one table of components of induced subgraphs (graph._component_table). It
 finds the separators from the table's connected sets, then tests as a PMC
 only a set whose components all border a separator other than the set
 itself (Bouchitté and Todinca's lemma), with the recognizer's own pair test.
-The PMC recognizer returns the components of G - Omega it found, and the PMC
-catalog keeps them for the solvers' block DP.
+Every search for components of G - X grows them with graph._grow. Each PMC
+producer keeps the components of G - Omega it met (the recognizer its
+search, the subset scan its table's chain, the listing its last recognizer
+call), and every PMC catalog carries them for the solvers' block DP.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from operator import eq
 
 from .bitset import VertexSet, bit_list, canonical_sets, iter_bits
 from .errors import CapExceeded, ContractViolation, InputError
-from .graph import (Graph, _component_table, _components_masks, _components_with_nbrs,
-                    _validate_subset)
+from .graph import Graph, _component_table, _components_with_nbrs, _grow, _validate_subset
 
 # Subset oracles refuse graphs above this size unless told otherwise.
 DEFAULT_ORACLE_CAP = 16
@@ -52,17 +53,7 @@ def _min_sep_mask(adj: tuple[int, ...], smask: int, space: int) -> bool:
     while seeds:
         if not fulls and not seeds & (seeds - 1):
             return False
-        comp = frontier = seeds & -seeds
-        reach = 0
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= adj[low.bit_length() - 1]
-                frontier ^= low
-            reach |= nxt
-            frontier = nxt & rest & ~comp
-            comp |= frontier
+        comp, reach = _grow(adj, seeds & -seeds, rest)
         if not smask & ~reach:
             fulls += 1
             if fulls == 2:
@@ -95,17 +86,7 @@ def _pmc_pieces(adj: tuple[int, ...], om: int, space: int, known: defaultdict | 
             if closed & rem == comp:
                 break
         else:
-            comp = frontier = low
-            closed = 0
-            while frontier:
-                nxt = 0
-                while frontier:
-                    bit = frontier & -frontier
-                    nxt |= adj[bit.bit_length() - 1]
-                    frontier ^= bit
-                closed |= nxt
-                frontier = nxt & rem & ~comp
-                comp |= frontier
+            comp, closed = _grow(adj, low, rem)
             closed |= comp
             if known is not None:
                 recent.appendleft((comp, closed))
@@ -115,11 +96,6 @@ def _pmc_pieces(adj: tuple[int, ...], om: int, space: int, known: defaultdict | 
         pieces.append((s, comp))
         rem &= ~comp
     return tuple(pieces) if _pairs_covered(adj, om, [s for s, _ in pieces]) else None
-
-
-def _pmc_mask(adj: tuple[int, ...], om: int, space: int) -> bool:
-    """Potential-maximal-clique test on the subgraph induced by ``space``."""
-    return _pmc_pieces(adj, om, space) is not None
 
 
 def _pairs_covered(adj: tuple[int, ...], om: int, seps: list[int]) -> bool:
@@ -160,7 +136,7 @@ def is_pmc(g: Graph, omega: VertexSet) -> bool:
     if not omega:
         raise InputError("omega must be nonempty")
     _validate_subset(g, omega)
-    return _pmc_mask(g.adj, omega.mask, g.full_mask)
+    return _pmc_pieces(g.adj, omega.mask, g.full_mask) is not None
 
 
 def is_minimal_uv_separator(g: Graph, s: VertexSet, u: int, v: int) -> bool:
@@ -171,11 +147,12 @@ def is_minimal_uv_separator(g: Graph, s: VertexSet, u: int, v: int) -> bool:
     if u == v or u in s or v in s:
         return False
     # u and v lie outside s, so each is in exactly one component of g - s.
-    sides = [
-        nb for comp, nb in _components_with_nbrs(g.adj, g.full_mask & ~s.mask)
-        if (comp >> u) & 1 or (comp >> v) & 1
-    ]
-    return len(sides) == 2 and sides[0] == sides[1] == s.mask
+    space = g.full_mask & ~s.mask
+    cu, ru = _grow(g.adj, 1 << u, space)
+    if (cu >> v) & 1:
+        return False
+    cv, rv = _grow(g.adj, 1 << v, space)
+    return ru & ~cu == rv & ~cv == s.mask
 
 
 def pmc_separators(g: Graph, omega: VertexSet) -> list[VertexSet]:
@@ -241,11 +218,7 @@ def active_separators(g: Graph, omega: VertexSet) -> list[ActivePairWitness]:
         for u, v in pairs:
             assert (s1 >> u) & 1 and (s1 >> v) & 1, "active pair must lie inside its separator"
         rest = omega.mask & ~s1
-        comp = 0
-        for c in _components_masks(adj, full & ~s1):
-            if c & rest:
-                comp = c
-                break
+        comp, _ = _grow(adj, rest & -rest, full & ~s1)
         assert rest & ~comp == 0, "omega - S must sit inside a single component"
         witnesses.append(ActivePairWitness(VertexSet(s1), tuple(pairs), VertexSet(comp)))
     return witnesses
@@ -255,14 +228,15 @@ def active_separators(g: Graph, omega: VertexSet) -> list[ActivePairWitness]:
 class PmcCatalog:
     """Deduplicated, verified collection of potential maximal cliques of one graph.
 
-    A catalog built by ``collect`` also keeps, for each member Omega in
-    order, the pieces (N(C), C) of the components C of g - Omega that the
-    recognizer found, so the block DP does not search them again.
+    Every catalog keeps its pieces: for each member Omega in order, the
+    pairs (N(C), C) for the components C of g - Omega, by lowest vertex, as
+    the producer that verified Omega found them (the recognizer, the subset
+    scan or the listing), so the block DP does not search them again.
     """
 
     graph: Graph
     members: tuple[VertexSet, ...]
-    _pieces: tuple | None = field(default=None, compare=False, repr=False)
+    _pieces: tuple = field(compare=False, repr=False)
 
     @classmethod
     def collect(cls, g: Graph, candidate_masks) -> "PmcCatalog":
@@ -277,13 +251,13 @@ class PmcCatalog:
                 pieces = _pmc_pieces(adj, m, full, known)
                 if pieces is not None:
                     kept[m] = pieces
-        members = tuple(canonical_sets(kept))
-        return cls(g, members, tuple(kept[vs.mask] for vs in members))
+        return cls.from_pieces(g, kept)
 
     @classmethod
-    def from_verified(cls, g: Graph, masks) -> "PmcCatalog":
-        """Wrap masks already known to pass the recognizer (internal routes)."""
-        return cls(graph=g, members=tuple(canonical_sets(masks)))
+    def from_pieces(cls, g: Graph, pieces: dict) -> "PmcCatalog":
+        """Wrap {Omega: pieces} whose masks are PMCs of g, found with their pieces."""
+        members = tuple(canonical_sets(pieces))
+        return cls(g, members, tuple(pieces[vs.mask] for vs in members))
 
     def mask_set(self) -> frozenset[int]:
         return frozenset(vs.mask for vs in self.members)
@@ -325,8 +299,8 @@ def _separator_closure(adj: tuple[int, ...], space: int) -> list[int]:
     return seps
 
 
-def _pmc_listing(adj: tuple[int, ...], space: int) -> tuple[list[int], list[int]]:
-    """(minimal separators, PMCs) of the subgraph on ``space`` (Bouchitté, Todinca).
+def _pmc_listing(adj: tuple[int, ...], space: int) -> tuple[list[int], dict[int, tuple]]:
+    """(minimal separators, {PMC: pieces}) of the subgraph on ``space`` (Bouchitté, Todinca).
 
     Adds the vertices of ``space`` in ascending order. The PMCs of the prefix
     plus a are among: each PMC Omega of the prefix, with or without a; S + a
@@ -337,21 +311,23 @@ def _pmc_listing(adj: tuple[int, ...], space: int) -> tuple[list[int], list[int]
     component of its complement holding a and u a vertex of Omega - N(D).
     Then a and u are non-adjacent, and no component of the grown prefix
     minus Omega + a sees both (those inside D miss u, the others miss a), so
-    Omega + a is no PMC.
+    Omega + a is no PMC. Each PMC keeps the pieces its last recognizer call
+    found, those of the whole space once the last vertex is in.
     """
-    prefix, seps, pmcs = 0, [], []
+    prefix, seps, pmcs = 0, [], {}
     for a in iter_bits(space):
         bit = 1 << a
         prefix |= bit
         old_seps, seps = set(seps), _separator_closure(adj, prefix)
         # {a} is the one-vertex prefix's PMC
         cands = {bit, *(s | bit for s in seps)}
-        kept = []
+        kept = {}
         for o in pmcs:
-            if _pmc_mask(adj, o, prefix):
-                kept.append(o)
-            else:
+            pieces = _pmc_pieces(adj, o, prefix)
+            if pieces is None:
                 cands.add(o | bit)
+            else:
+                kept[o] = pieces
         for s in seps:
             if s & bit or s in old_seps:
                 continue
@@ -359,12 +335,16 @@ def _pmc_listing(adj: tuple[int, ...], space: int) -> tuple[list[int], list[int]
                 if nb & prefix == s:
                     cands.update(s | (comp & t) for t in seps)
         cands.difference_update(pmcs)
-        pmcs = kept + [o for o in cands if _pmc_mask(adj, o, prefix)]
+        for o in cands:
+            pieces = _pmc_pieces(adj, o, prefix)
+            if pieces is not None:
+                kept[o] = pieces
+        pmcs = kept
     return seps, pmcs
 
 
-def _oracle_chunk(args) -> tuple[list[int], list[int]]:
-    """(minimal separators, PMCs) among the subsets m = lo..hi-1 of the n vertices, ascending.
+def _oracle_chunk(args) -> tuple[list[int], dict[int, tuple]]:
+    """(minimal separators, {PMC: pieces}) among the subsets m = lo..hi-1 of the n vertices, ascending.
 
     Two passes over one component table; each worker process builds its own
     table and runs pass 1 over all 2^n sets, then reports only its share.
@@ -385,7 +365,8 @@ def _oracle_chunk(args) -> tuple[list[int], list[int]]:
     is not C because x is in m. When S is empty, C is a whole component of
     G and m lies in another, so G is disconnected and S is a separator.
     The chain of G - m is walked only until a component borders all of m
-    or a set that is no separator; the pair test runs on the rest.
+    or a set that is no separator; the pair test runs on the rest. Only a
+    PMC has its chain walked once more, for its pieces (N(C), C).
     """
     adj, n, lo, hi = args
     first, nbr = _component_table(adj, n)
@@ -395,7 +376,7 @@ def _oracle_chunk(args) -> tuple[list[int], list[int]]:
     connected = map(eq, islice(first, 1, None), range(1, total))
     for s in compress(islice(nbr, 1, None), connected):
         cnt[s] += cnt[s] < 2
-    pmcs = []
+    pmcs = {}
     full = total - 1
     for m in range(max(lo, 1), hi):
         nbs = []
@@ -408,19 +389,26 @@ def _oracle_chunk(args) -> tuple[list[int], list[int]]:
             rest ^= first[rest]
         else:
             if _pairs_covered(adj, m, nbs):
-                pmcs.append(m)
+                pieces, rest = [], full ^ m
+                while rest:
+                    comp = first[rest]
+                    pieces.append((nbr[rest], comp))
+                    rest ^= comp
+                pmcs[m] = tuple(pieces)
     return list(compress(range(lo, hi), map((1).__lt__, islice(cnt, lo, hi)))), pmcs
 
 
-def _refuse_oversize(n: int, cap: int, what: str) -> None:
-    """Raise CapExceeded when n is above ``cap``, or above the ceiling whatever the cap."""
+def _refuse_oversize(n: int, cap: int | None, what: str) -> None:
+    """Raise CapExceeded when n is above ``cap`` (DEFAULT_ORACLE_CAP when None), or above the ceiling."""
+    if cap is None:
+        cap = DEFAULT_ORACLE_CAP
     if n > min(cap, _ORACLE_CEILING):
         raise CapExceeded(f"{what} oracle refused: n={n} exceeds cap {min(cap, _ORACLE_CEILING)} "
                           f"(a cap can be raised explicitly, up to {_ORACLE_CEILING})")
 
 
-def _oracle_scan(g: Graph, cap: int | None, jobs: int) -> tuple[list[int], list[int]]:
-    _refuse_oversize(g.n, DEFAULT_ORACLE_CAP if cap is None else cap, "exhaustive")
+def _oracle_scan(g: Graph, cap: int | None, jobs: int) -> tuple[list[int], dict[int, tuple]]:
+    _refuse_oversize(g.n, cap, "exhaustive")
     total = 1 << g.n
     if jobs <= 1:
         return _oracle_chunk((g.adj, g.n, 0, total))
@@ -430,21 +418,11 @@ def _oracle_scan(g: Graph, cap: int | None, jobs: int) -> tuple[list[int], list[
     tasks = [(g.adj, g.n, lo, min(lo + step, total)) for lo in range(0, total, step)]
     with Pool(processes=jobs) as pool:
         parts = pool.map(_oracle_chunk, tasks)
-    return [m for seps, _ in parts for m in seps], [m for _, pmcs in parts for m in pmcs]
+    return [m for seps, _ in parts for m in seps], {m: p for _, pmcs in parts for m, p in pmcs.items()}
 
 
 def brute_force_lists(g: Graph, cap: int | None = None,
                       jobs: int = 1) -> tuple[list[VertexSet], PmcCatalog]:
     """All minimal separators and all PMCs of g by one scan of every vertex subset."""
     seps, pmcs = _oracle_scan(g, cap, jobs)
-    return canonical_sets(seps), PmcCatalog.from_verified(g, pmcs)
-
-
-def brute_force_separators(g: Graph, cap: int | None = None, jobs: int = 1) -> list[VertexSet]:
-    """All minimal separators of g by scanning every vertex subset."""
-    return brute_force_lists(g, cap, jobs)[0]
-
-
-def brute_force_pmcs(g: Graph, cap: int | None = None, jobs: int = 1) -> PmcCatalog:
-    """All potential maximal cliques of g by scanning every nonempty subset."""
-    return brute_force_lists(g, cap, jobs)[1]
+    return canonical_sets(seps), PmcCatalog.from_pieces(g, pmcs)

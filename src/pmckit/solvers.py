@@ -4,8 +4,9 @@ The catalog solvers run one block dynamic program (Bouchitté and Todinca, SIAM 
 Comput. 2001). A block is a minimal separator S with a full component C of
 g - S. Each PMC Omega is indexed once under every block it resolves (S
 strictly inside Omega inside S + C), one per component of g - Omega, so a
-block folds only its own PMCs; those components come with the catalog when
-its filter found them. Blocks are processed by increasing
+block folds only its own PMCs; every catalog carries those components, as
+the recognizer, the subset scan or the listing that verified Omega found
+them, so the DP runs no component search. Blocks are processed by increasing
 (|S + C|, |C|), which every recursive dependency strictly decreases, so a
 single bottom-up pass suffices. The oracles search every vertex elimination
 order instead; the graph reached after eliminating a set does not depend on
@@ -24,13 +25,10 @@ from operator import add
 
 from .bitset import VertexSet, iter_bits
 from .errors import InputError
-from .graph import (Graph, _component_table, _components_masks, _components_with_nbrs,
-                    induced_subgraph)
-from .modular import ModuleNode, ModuleTree, enumerate_by_mw
-from .recognition import PmcCatalog, _pmc_listing, _refuse_oversize
+from .graph import Graph, _component_table, _grow, induced_subgraph
+from .modular import ModuleNode, ModuleTree, base_enumerate, enumerate_by_mw
+from .recognition import PmcCatalog, _refuse_oversize
 
-DEFAULT_TW_ORACLE_CAP = 16
-DEFAULT_FILL_ORACLE_CAP = 16
 # Largest quotient of a prime node with module children that the tree solver
 # searches by subsets (2^q sets); above it the node's subgraph is solved from
 # its PMC catalog.
@@ -50,24 +48,15 @@ class Block:
 def _check_solver_input(g: Graph, catalog: PmcCatalog) -> None:
     if g.n == 0:
         raise InputError("graph must be nonempty")
-    if len(_components_masks(g.adj, g.full_mask)) != 1:
+    if _grow(g.adj, 1, g.full_mask)[0] != g.full_mask:
         raise InputError("solver requires a connected graph; split components first")
     if catalog.graph != g:
         raise InputError("catalog was built for a different graph")
 
 
-def _catalog_entries(g: Graph, catalog: PmcCatalog):
-    """Each PMC with the pieces (N(C), C) of the components C of g - Omega.
-
-    A catalog from PmcCatalog.collect carries the pieces its recognizer
-    found; only a catalog wrapped by from_verified is searched here.
-    """
-    pieces = catalog._pieces
-    if pieces is None:
-        adj, full = g.adj, g.full_mask
-        pieces = [tuple((nb, comp) for comp, nb in _components_with_nbrs(adj, full & ~vs.mask))
-                  for vs in catalog.members]
-    return [(vs.mask, p) for vs, p in zip(catalog.members, pieces)]
+def _catalog_entries(catalog: PmcCatalog):
+    """Each PMC with the pieces (N(C), C) of the components C of g - Omega, as the catalog keeps them."""
+    return [(vs.mask, p) for vs, p in zip(catalog.members, catalog._pieces)]
 
 
 def _block_order(entries):
@@ -85,7 +74,7 @@ def dp_blocks(g: Graph, catalog: PmcCatalog) -> list[Block]:
     _check_solver_input(g, catalog)
     return [
         Block(VertexSet(s), VertexSet(c))
-        for s, c in _block_order(_catalog_entries(g, catalog))
+        for s, c in _block_order(_catalog_entries(catalog))
     ]
 
 
@@ -99,7 +88,7 @@ def _block_dp(g: Graph, catalog: PmcCatalog, step, fold) -> int:
     Omega; the root does the same over every Omega with S empty.
     """
     _check_solver_input(g, catalog)
-    entries = _catalog_entries(g, catalog)
+    entries = _catalog_entries(catalog)
     full = g.full_mask
     index: dict[tuple[int, int], dict[int, tuple]] = {}
     for om, pieces in entries:
@@ -233,22 +222,22 @@ def _elimination_search(adj: tuple[int, ...], modules, problem: str) -> int:
     return dp[full]
 
 
-def _oracle_search(g: Graph, cap: int | None, default: int, what: str, problem: str) -> int:
+def _oracle_search(g: Graph, cap: int | None, what: str, problem: str) -> int:
     if g.n == 0:
         raise InputError("graph must be nonempty")
-    _refuse_oversize(g.n, default if cap is None else cap, what)
+    _refuse_oversize(g.n, cap, what)
     value = _elimination_search(g.adj, [(0, 1, 0)] * g.n, problem)
     return value if problem == "tw" else value - g.m
 
 
 def brute_force_treewidth(g: Graph, cap: int | None = None) -> int:
     """Exact treewidth: best over all elimination orders of the largest bag met."""
-    return _oracle_search(g, cap, DEFAULT_TW_ORACLE_CAP, "treewidth", "tw")
+    return _oracle_search(g, cap, "treewidth", "tw")
 
 
 def brute_force_fill_in(g: Graph, cap: int | None = None) -> int:
     """Exact minimum fill-in: fewest edges added over all elimination orders."""
-    return _oracle_search(g, cap, DEFAULT_FILL_ORACLE_CAP, "fill-in", "fillin")
+    return _oracle_search(g, cap, "fill-in", "fillin")
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +276,7 @@ def _node_value(g: Graph, node: ModuleNode, kids: list, problem: str) -> tuple[i
             missing = [kw * (kw - 1) // 2 - ke for _, kw, ke in kids]
             value = sum(missing) + min(kv - m for (kv, _, _), m in zip(kids, missing))
     elif all(c.kind == "leaf" for c in node.children):
-        value = _catalog_value(q, PmcCatalog.from_verified(q, _pmc_listing(q.adj, q.full_mask)[1]),
-                               problem)
+        value = _catalog_value(q, base_enumerate(q)[1], problem)
     else:
         value = _elimination_search(q.adj, kids, problem) - (0 if tw else e)
     return value, w, e

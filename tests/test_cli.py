@@ -544,12 +544,12 @@ class TestWorkDoneOnce:
         # PMCs of each all-leaf prime module are listed once, on its quotient
         quotients = mw_solve_quotients[:4]
         g, _ = expand_graph(path(4), quotients)
-        searched = PmcCatalog.from_verified(g, enumerate_by_mw(g)[1].mask_set())
-        want = {"treewidth": treewidth(g, searched), "fill_in": min_fill_in(g, searched)}
+        whole_catalog = enumerate_by_mw(g)[1]
+        want = {"treewidth": treewidth(g, whole_catalog), "fill_in": min_fill_in(g, whole_catalog)}
         gr = tmp_path / "g.gr"
         gr.write_text(write_gr(g))
         whole = count_calls(monkeypatch, "enumerate_by_mw", [pmckit.cli, pmckit.solvers])
-        listings = count_calls(monkeypatch, "_pmc_listing", [pmckit.solvers])
+        listings = count_calls(monkeypatch, "_pmc_listing", [pmckit.modular])
         collected = []
         collect = PmcCatalog.collect.__func__
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import importlib.util
 import os
 import subprocess
@@ -44,6 +45,25 @@ def test_summary_keeps_a_run_without_result():
 @pytest.mark.parametrize("text, seeds", [("3", [3]), ("1-4", [1, 2, 3, 4]), ("1-2,7", [1, 2, 7])])
 def test_seed_ranges(text, seeds):
     assert collect_bench.parse_seeds(text) == seeds
+
+
+@pytest.mark.parametrize("text", ["", "10-1", "1-3,2", "4,4", "1-", "1,,2", "x"])
+def test_bad_seeds_are_refused(text):
+    with pytest.raises(argparse.ArgumentTypeError):
+        collect_bench.parse_seeds(text)
+
+
+@pytest.mark.parametrize("text", ["10-1", "1-3,2", ""])
+def test_bad_seeds_exit_2_before_any_run(text, monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("ran the benchmark")
+
+    monkeypatch.setattr(collect_bench, "uncommitted", never)
+    monkeypatch.setattr(collect_bench, "bench_once", never)
+    with pytest.raises(SystemExit) as exit_:
+        collect_bench.main(["--checkout", ".", "--note", "test", "--seeds", text])
+    assert exit_.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
 
 
 def git(repo, *args):

@@ -28,7 +28,7 @@ from pmckit import (
     watermelon,
     write_gr,
 )
-from pmckit.graph import _component_table, _components_with_nbrs
+from pmckit.graph import _component_table, _components_with_nbrs, _grow
 
 PROPERTY = settings(max_examples=80, deadline=None)
 
@@ -196,6 +196,21 @@ class TestComponentKernel:
         assert got == naive_components_with_nbrs(g.adj, space.mask)
         mins = [(comp & -comp).bit_length() for comp, _ in got]
         assert mins == sorted(mins)
+
+    @PROPERTY
+    @given(strategies.graph_with_subset())
+    def test_grow_matches_naive_bfs_from_every_vertex(self, gs):
+        # the component of G[space] holding v, with the union of its
+        # vertices' adjacency (which holds C itself unless C is one vertex)
+        g, space = gs
+        for comp, _ in naive_components_with_nbrs(g.adj, space.mask):
+            union = 0
+            for u in range(g.n):
+                if (comp >> u) & 1:
+                    union |= g.adj[u]
+            for v in range(g.n):
+                if (comp >> v) & 1:
+                    assert _grow(g.adj, 1 << v, space.mask) == (comp, union)
 
 
 class TestComponentTable:

@@ -14,7 +14,6 @@ from pmckit import (
     VertexSet,
     base_enumerate,
     brute_force_lists,
-    brute_force_separators,
     complete,
     contract,
     cycle,
@@ -266,7 +265,7 @@ class TestExpandGraph:
         quotient = path(3)
         modules = [path(3), complete(2), empty_graph(1)]
         h, children = expand_graph(quotient, modules)
-        for s in brute_force_separators(h):
+        for s in brute_force_lists(h)[0]:
             for child, mod in zip(children, modules):
                 inter = s.mask & child.mask
                 if inter in (0, child.mask):

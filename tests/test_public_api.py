@@ -1,0 +1,29 @@
+"""The package's public surface, pinned: adding or dropping a name shows in this file's diff."""
+
+from __future__ import annotations
+
+import pmckit
+
+PUBLIC = [
+    "ActivePairWitness", "Block", "CUBE_INDEX", "CapExceeded", "ContractViolation",
+    "DEFAULT_ORACLE_CAP", "GrParseError", "Graph", "InputError", "ModuleNode", "ModuleTree",
+    "PmcCatalog", "VertexSet", "active_pmcs_by_vc", "active_separators", "base_enumerate",
+    "brute_force_fill_in", "brute_force_lists", "brute_force_treewidth", "canonical_sets",
+    "complete", "components", "contract", "cube", "cycle", "dp_blocks", "empty_graph",
+    "enumerate_by_mw", "expand", "expand_graph", "full_components", "generate", "gnp",
+    "induced_subgraph", "is_minimal_separator", "is_minimal_uv_separator", "is_pmc",
+    "is_vertex_cover", "min_fill_in", "minimum_vertex_cover", "modular_decomposition",
+    "modular_width", "neighborhood", "parse_gr", "path", "pmc_separators", "pmcs_by_vc",
+    "prefix_graph", "read_gr", "separators_by_vc", "tree_to_json", "treewidth", "watermelon",
+    "watermelon_hubs", "write_gr",
+]
+
+
+def test_all_is_the_pinned_list():
+    assert sorted(pmckit.__all__) == PUBLIC
+    assert len(set(pmckit.__all__)) == len(pmckit.__all__)
+
+
+def test_every_public_name_resolves():
+    for name in PUBLIC:
+        assert hasattr(pmckit, name), name

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import multiprocessing
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,14 +24,13 @@ from pmckit import (
     active_separators,
     brute_force_fill_in,
     brute_force_lists,
-    brute_force_pmcs,
-    brute_force_separators,
     brute_force_treewidth,
     complete,
     components,
     cycle,
     empty_graph,
     enumerate_by_mw,
+    full_components,
     expand,
     expand_graph,
     gnp,
@@ -43,7 +43,7 @@ from pmckit import (
     path,
     pmc_separators,
 )
-from pmckit.modular import _node_candidates
+from pmckit.modular import _node_candidates, base_enumerate
 from pmckit.graph import Graph, _components_with_nbrs
 from pmckit.recognition import _min_sep_mask, _oracle_chunk, _pmc_listing, _separator_closure
 
@@ -137,6 +137,17 @@ class TestMinimalSeparator:
         )
         assert has_pair == is_minimal_separator(g, s)
 
+    @PROPERTY
+    @given(strategies.graph_with_subset(max_n=7))
+    def test_uv_variant_per_pair(self, gs):
+        # true exactly when u and v lie in two different full components of s
+        g, s = gs
+        home = {x: i for i, c in enumerate(full_components(g, s)) for x in c}
+        for u in range(g.n):
+            for v in range(g.n):
+                separated = u in home and v in home and home[u] != home[v]
+                assert is_minimal_uv_separator(g, s, u, v) == separated, (u, v)
+
 
 class TestPmcRecognition:
     def test_cube_fixtures(self, cube_graph):
@@ -181,7 +192,7 @@ class TestPmcSeparators:
     @pytest.mark.parametrize("seed", range(6))
     def test_members_are_minimal_separators_inside_one_full_component(self, seed):
         g = gnp(8, 0.4, seed)
-        for omega in brute_force_pmcs(g):
+        for omega in brute_force_lists(g)[1]:
             for s in pmc_separators(g, omega):
                 assert is_minimal_separator(g, s)
                 rest = omega.mask & ~s.mask
@@ -216,7 +227,7 @@ class TestActiveSeparators:
         # omega minus the separator is a minimal x,y-separator of the graph
         # induced on the component plus the pair
         g = gnp(8, 0.4, seed)
-        for omega in brute_force_pmcs(g):
+        for omega in brute_force_lists(g)[1]:
             for w in active_separators(g, omega):
                 rest = omega - w.separator
                 for x, y in w.pairs:
@@ -251,8 +262,26 @@ class TestPmcCatalog:
         cands = list(range(1 << g.n))
         rng.shuffle(cands)
         catalog = PmcCatalog.collect(g, cands)
-        assert catalog == brute_force_pmcs(g)
+        assert catalog == brute_force_lists(g)[1]
         assert catalog._pieces == tuple(search_pieces(g, vs.mask) for vs in catalog.members)
+
+    @PROPERTY
+    @given(st.one_of(strategies.graphs(max_n=8), strategies.disconnected_graphs(max_part=4)))
+    def test_every_producer_keeps_the_pieces_of_a_fresh_search(self, g):
+        # the subset scan rebuilds them from its table, the listing keeps
+        # its recognizer's; both must equal a search of g - Omega
+        for catalog in (brute_force_lists(g)[1], base_enumerate(g)[1]):
+            assert catalog._pieces == tuple(search_pieces(g, vs.mask) for vs in catalog.members)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("g", [
+        gnp(9, 0.3, 1), gnp(10, 0.45, 2), cycle(7),
+        disjoint_union(gnp(5, 0.5, 3), path(4)), disjoint_union(cycle(4), empty_graph(1), path(3)),
+    ], ids=["gnp9", "gnp10", "cycle7", "gnp5+path4", "cycle4+K1+path3"])
+    def test_scan_keeps_the_pieces_with_any_jobs(self, g, jobs):
+        catalog = brute_force_lists(g, jobs=jobs)[1]
+        assert catalog._pieces == tuple(search_pieces(g, vs.mask) for vs in catalog.members)
+        assert catalog == base_enumerate(g)[1]
 
     def test_collect_is_independent_of_candidate_order(self, mw_solve_quotients):
         g, _ = expand_graph(path(4), mw_solve_quotients[:4])
@@ -268,30 +297,27 @@ class TestPmcCatalog:
 
 class TestOracles:
     def test_path_fixtures(self):
-        g = path(3)
-        assert brute_force_separators(g) == [vs(1)]
-        assert brute_force_pmcs(g).to_lists() == [[0, 1], [1, 2]]
+        seps, catalog = brute_force_lists(path(3))
+        assert seps == [vs(1)]
+        assert catalog.to_lists() == [[0, 1], [1, 2]]
 
     def test_complete_fixtures(self):
-        g = complete(4)
-        assert brute_force_separators(g) == []
-        assert brute_force_pmcs(g).to_lists() == [[0, 1, 2, 3]]
+        seps, catalog = brute_force_lists(complete(4))
+        assert seps == []
+        assert catalog.to_lists() == [[0, 1, 2, 3]]
 
     def test_cube_contains_worked_examples(self, cube_graph):
-        seps = set(brute_force_separators(cube_graph))
+        seps, catalog = brute_force_lists(cube_graph)
         for letters in ("aegc", "ahc", "acf", "ach", "afh", "cfh"):
             assert cube_set(letters) in seps
-        catalog = brute_force_pmcs(cube_graph)
         assert cube_set("aegch") in catalog and cube_set("acfh") in catalog
 
     def test_cap_refusal(self):
         g = empty_graph(17)
         with pytest.raises(CapExceeded):
-            brute_force_separators(g)
-        with pytest.raises(CapExceeded):
-            brute_force_pmcs(g)
+            brute_force_lists(g)
         # explicit cap override allows it
-        assert brute_force_separators(g, cap=17)[0] == VertexSet()
+        assert brute_force_lists(g, cap=17)[0][0] == VertexSet()
 
     def test_jobs_do_not_change_results(self):
         g = gnp(9, 0.4, 5)
@@ -301,17 +327,20 @@ class TestOracles:
         assert catalog.members == want_catalog.members
 
     def test_scan_runs_no_component_bfs(self, monkeypatch):
-        real, calls = pmckit.graph._components_with_nbrs, []
+        real, calls = pmckit.graph._grow, []
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        for mod in (pmckit.graph, pmckit.recognition):
-            monkeypatch.setattr(mod, "_components_with_nbrs", counted)
+        importers = [mod for name, mod in sys.modules.items()
+                     if name.startswith("pmckit.") and getattr(mod, "_grow", None) is real]
+        assert {pmckit.graph, pmckit.recognition, pmckit.solvers} <= set(importers)
+        for mod in importers:
+            monkeypatch.setattr(mod, "_grow", counted)
         seps, catalog = brute_force_lists(gnp(12, 0.3, 1))
         assert seps and len(catalog)
-        assert calls == []  # every subset's components come from the one table
+        assert calls == []  # every subset's components, and each PMC's pieces, come from the one table
 
     @pytest.mark.parametrize("oracle", [
         lambda g: brute_force_lists(g, cap=30, jobs=2),
@@ -327,11 +356,6 @@ class TestOracles:
         monkeypatch.setattr(multiprocessing, "Pool", never)
         with pytest.raises(CapExceeded, match="n=21 exceeds cap 20"):
             oracle(empty_graph(21))
-
-    def test_each_half_is_one_oracle(self, cube_graph):
-        seps, catalog = brute_force_lists(cube_graph)
-        assert seps == brute_force_separators(cube_graph)
-        assert catalog.members == brute_force_pmcs(cube_graph).members
 
     @pytest.mark.parametrize("g, connected", [
         (empty_graph(1), True),
@@ -386,9 +410,11 @@ class TestOracles:
         for k in (0, 1, 37, total // 2, total - 1, total):
             low = _oracle_chunk((g.adj, g.n, 0, k))
             high = _oracle_chunk((g.adj, g.n, k, total))
-            assert (low[0] + high[0], low[1] + high[1]) == whole
-        for part in whole:
-            assert part == sorted(set(part))
+            assert low[0] + high[0] == whole[0]
+            assert list({**low[1], **high[1]}.items()) == list(whole[1].items())
+        seps, pmcs = whole
+        assert seps == sorted(set(seps)) and list(pmcs) == sorted(pmcs)
+        assert all(pieces == search_pieces(g, m) for m, pieces in pmcs.items())
         seps, catalog = brute_force_lists(g, jobs=2)
         want_seps, want_catalog = brute_force_lists(g)
         assert seps == want_seps and VertexSet() in seps
@@ -469,13 +495,13 @@ class TestOutputSensitiveListings:
         # a PMC of the prefix that is still one after a is added is not tried
         # again with a; testing every PMC both ways makes 3,561 calls here
         calls = []
-        recognize = pmckit.recognition._pmc_mask
+        recognize = pmckit.recognition._pmc_pieces
 
         def counted(*args):
             calls.append(args)
             return recognize(*args)
 
-        monkeypatch.setattr(pmckit.recognition, "_pmc_mask", counted)
+        monkeypatch.setattr(pmckit.recognition, "_pmc_pieces", counted)
         listed = [_pmc_listing(q.adj, q.full_mask)[1] for q in mw_solve_quotients]
         assert sum(map(len, listed)) == 470
         assert len(calls) == 2955

@@ -15,7 +15,7 @@ from pmckit import (
     InputError,
     VertexSet,
     brute_force_fill_in,
-    brute_force_pmcs,
+    brute_force_lists,
     brute_force_treewidth,
     complete,
     cycle,
@@ -107,15 +107,17 @@ class TestOracles:
 class TestDynamicProgram:
     def test_trees_and_cliques(self):
         tree = Graph.from_edges(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
-        assert treewidth(tree, brute_force_pmcs(tree)) == 1
-        assert min_fill_in(tree, brute_force_pmcs(tree)) == 0
+        cat = brute_force_lists(tree)[1]
+        assert treewidth(tree, cat) == 1
+        assert min_fill_in(tree, cat) == 0
         k5 = complete(5)
-        assert treewidth(k5, brute_force_pmcs(k5)) == 4
-        assert min_fill_in(k5, brute_force_pmcs(k5)) == 0
+        cat = brute_force_lists(k5)[1]
+        assert treewidth(k5, cat) == 4
+        assert min_fill_in(k5, cat) == 0
 
     def test_cycles(self):
         c6 = cycle(6)
-        cat = brute_force_pmcs(c6)
+        cat = brute_force_lists(c6)[1]
         assert treewidth(c6, cat) == 2
         assert min_fill_in(c6, cat) == 3
 
@@ -126,18 +128,18 @@ class TestDynamicProgram:
 
     def test_single_vertex(self):
         g = empty_graph(1)
-        cat = brute_force_pmcs(g)
+        cat = brute_force_lists(g)[1]
         assert treewidth(g, cat) == 0
         assert min_fill_in(g, cat) == 0
 
     def test_rejects_disconnected(self):
         g = empty_graph(2)
         with pytest.raises(InputError):
-            treewidth(g, brute_force_pmcs(g))
+            treewidth(g, brute_force_lists(g)[1])
 
     def test_rejects_foreign_catalog(self):
         with pytest.raises(InputError):
-            treewidth(path(4), brute_force_pmcs(path(5)))
+            treewidth(path(4), brute_force_lists(path(5))[1])
 
     def test_matches_oracles_on_corpus(self, quick_corpus):
         for name, g in quick_corpus:
@@ -175,7 +177,7 @@ class TestBlocks:
         for name, g in quick_corpus:
             if len(components(g, VertexSet())) != 1 or g.n > 8:
                 continue
-            for block in dp_blocks(g, brute_force_pmcs(g)):
+            for block in dp_blocks(g, brute_force_lists(g)[1]):
                 assert is_minimal_separator(g, block.sep), name
                 assert block.comp in full_components(g, block.sep), name
                 checked += 1
@@ -185,7 +187,7 @@ class TestBlocks:
         from pmckit import dp_blocks
 
         g = complete(4)
-        assert dp_blocks(g, brute_force_pmcs(g)) == []
+        assert dp_blocks(g, brute_force_lists(g)[1]) == []
 
 
 class TestSolveValue:

@@ -16,8 +16,6 @@ from pmckit import (
     active_pmcs_by_vc,
     active_separators,
     brute_force_lists,
-    brute_force_pmcs,
-    brute_force_separators,
     complete,
     empty_graph,
     full_components,
@@ -197,7 +195,7 @@ class TestSeparatorsByVc:
         for name, g in quick_corpus:
             w = minimum_vertex_cover(g)
             got = {s.mask for s in separators_by_vc(g, w)}
-            want = {s.mask for s in brute_force_separators(g)}
+            want = {s.mask for s in brute_force_lists(g)[0]}
             assert got == want, name
 
     def test_bound_three_power_cover(self, quick_corpus):
@@ -210,15 +208,15 @@ class TestSeparatorsByVc:
         cover = minimum_vertex_cover(g)
         bigger = VertexSet(cover.mask | (g.full_mask & ~cover.mask & -(g.full_mask & ~cover.mask)))
         got = {s.mask for s in separators_by_vc(g, bigger)}
-        assert got == {s.mask for s in brute_force_separators(g)}
+        assert got == {s.mask for s in brute_force_lists(g)[0]}
         # gnp(10,0.4,3) has cover edges, unlike watermelon's independent
         # cover; with cover V every edge is one, so the walk prunes often
         g = gnp(10, 0.4, 3)
-        assert separators_by_vc(g, VertexSet(g.full_mask)) == brute_force_separators(g)
+        assert separators_by_vc(g, VertexSet(g.full_mask)) == brute_force_lists(g)[0]
 
     def test_matches_oracle_on_corpus_with_other_covers(self, quick_corpus):
         for name, g in quick_corpus:
-            want = brute_force_separators(g)
+            want = brute_force_lists(g)[0]
             for kind, w in other_covers(g):
                 assert separators_by_vc(g, w) == want, (name, kind)
 
@@ -228,7 +226,7 @@ class TestSeparatorsByVc:
         # outside vertex seeing both sides
         for name, g in quick_corpus:
             w = minimum_vertex_cover(g).mask
-            for s in brute_force_separators(g):
+            for s in brute_force_lists(g)[0]:
                 fulls = full_components(g, s)
                 assert len(fulls) >= 2
                 d1 = fulls[0].mask
@@ -250,7 +248,7 @@ class TestActivePmcsByVc:
     def test_sound_and_covers_active(self, seed):
         g = gnp(9, 0.35, seed)
         catalog = active_pmcs_by_vc(g, minimum_vertex_cover(g))
-        oracle = brute_force_pmcs(g)
+        oracle = brute_force_lists(g)[1]
         assert catalog.mask_set() <= oracle.mask_set()
         for omega in oracle:
             if active_separators(g, omega):
@@ -272,21 +270,21 @@ class TestPmcsByVc:
 
     def test_path3(self):
         got = pmcs_by_vc(path(3))
-        assert got.mask_set() == brute_force_pmcs(path(3)).mask_set()
+        assert got.mask_set() == brute_force_lists(path(3))[1].mask_set()
 
     def test_cube(self, cube_graph):
         got = pmcs_by_vc(cube_graph)
-        assert got.mask_set() == brute_force_pmcs(cube_graph).mask_set()
+        assert got.mask_set() == brute_force_lists(cube_graph)[1].mask_set()
         assert VertexSet.of(0, 2, 4, 6, 7) in got
         assert VertexSet.of(0, 2, 5, 7) in got
 
     def test_matches_oracle_on_corpus(self, quick_corpus):
         for name, g in quick_corpus:
-            assert pmcs_by_vc(g).mask_set() == brute_force_pmcs(g).mask_set(), name
+            assert pmcs_by_vc(g).mask_set() == brute_force_lists(g)[1].mask_set(), name
 
     def test_matches_oracle_on_corpus_with_other_covers(self, quick_corpus):
         for name, g in quick_corpus:
-            want = brute_force_pmcs(g).mask_set()
+            want = brute_force_lists(g)[1].mask_set()
             for kind, w in other_covers(g):
                 assert pmcs_by_vc(g, w).mask_set() == want, (name, kind)
 
@@ -309,14 +307,15 @@ class TestPmcsByVc:
         g = gnp(n, prob, seed)
         w = minimum_vertex_cover(g)
         assert len(w) >= 7
-        assert pmcs_by_vc(g, w).mask_set() == brute_force_pmcs(g).mask_set()
-        assert separators_by_vc(g, w) == brute_force_separators(g)
+        seps, catalog = brute_force_lists(g)
+        assert pmcs_by_vc(g, w).mask_set() == catalog.mask_set()
+        assert separators_by_vc(g, w) == seps
 
     def test_any_given_cover(self):
         g = gnp(9, 0.35, 4)
         w = minimum_vertex_cover(g)
         bigger = VertexSet(w.mask | (g.full_mask & ~w.mask & -(g.full_mask & ~w.mask)))
-        assert pmcs_by_vc(g, bigger).mask_set() == brute_force_pmcs(g).mask_set()
+        assert pmcs_by_vc(g, bigger).mask_set() == brute_force_lists(g)[1].mask_set()
         with pytest.raises(InputError):
             pmcs_by_vc(path(4), VertexSet.of(0))
 

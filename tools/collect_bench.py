@@ -30,11 +30,23 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'1-3,7' -> [1, 2, 3, 7]."""
+    """'1-3,7' -> [1, 2, 3, 7]; an empty or reversed range or a repeated seed is refused.
+
+    No seeds would write trajectory files with no runs, and a repeated seed
+    would count its pair twice in the medians.
+    """
     seeds = []
     for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
+        lo, dash, hi = part.partition("-")
+        try:
+            lo, hi = int(lo), int(hi if dash else lo)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a seed or seed range: {part!r}") from None
+        if hi < lo:
+            raise argparse.ArgumentTypeError(f"reversed seed range: {part!r}")
+        seeds += range(lo, hi + 1)
+    if len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(f"repeated seed in {text!r}")
     return seeds
 
 
