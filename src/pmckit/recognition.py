@@ -8,10 +8,9 @@ one table of components of induced subgraphs (graph._component_table). It
 finds the separators from the table's connected sets, then tests as a PMC
 only a set whose components all border a separator other than the set
 itself (Bouchitté and Todinca's lemma), with the recognizer's own pair test.
-Every search for components of G - X grows them with graph._grow. Each PMC
-producer keeps the components of G - Omega it met (the recognizer its
-search, the subset scan its table's chain, the listing its last recognizer
-call), and every PMC catalog carries them for the solvers' block DP.
+Every search for components of G - X goes through graph._grow. Each PMC
+producer keeps the components of G - Omega it met, and every PMC catalog
+carries them for the solvers' block DP.
 """
 
 from __future__ import annotations
