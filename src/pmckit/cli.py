@@ -111,29 +111,36 @@ def _resolve_graph(args) -> tuple[str, Graph]:
     return _family_source(args.family, params), generate(args.family, **params)
 
 
-def _route_basis(g: Graph, method: str):
+def _route_basis(g: Graph, method: str, report: RunReport | None = None):
     """The structure a route starts from, computed once per command.
 
     The minimum vertex cover for vc, the modular decomposition tree for mw,
-    None for brute.
+    None for brute. With a report, the route's parameter is recorded too:
+    called once per component, it sums the covers and keeps the widest
+    modular width, which gives the whole graph's parameter.
     """
     if g.n == 0:
         raise InputError("graph must be nonempty")
     if method == "vc":
-        return minimum_vertex_cover(g)
-    if method == "mw":
-        return modular_decomposition(g)
-    return None
+        basis = minimum_vertex_cover(g)
+        if report is not None:
+            report.vc = (report.vc or 0) + len(basis)
+    elif method == "mw":
+        basis = modular_decomposition(g)
+        if report is not None:
+            report.mw = max(report.mw or 0, modular_width(basis))
+    else:
+        basis = None
+    return basis
 
 
 def _route_lists(
     g: Graph, method: str, jobs: int, basis, what: str = "both"
 ) -> tuple[list[VertexSet] | None, PmcCatalog | None]:
-    """g's separators and PMC catalog by one route; a list not asked for may be left out.
+    """g's separators and PMC catalog by one route, for ``what`` "seps", "pmcs" or "both".
 
-    ``what`` is "seps", "pmcs" or "both". The vc route returns None for a
-    list not asked for, the mw route an empty separator list for "pmcs"; the
-    exhaustive scan lists both anyway. The vc PMC sweep reuses the separators.
+    A list not asked for comes back None, except from the subset scan,
+    which lists both.
     """
     if method == "mw":
         return enumerate_by_mw(g, basis, what)
@@ -141,20 +148,6 @@ def _route_lists(
         return brute_force_lists(g, cap=_env_oracle_cap(), jobs=jobs)
     seps = separators_by_vc(g, basis) if what in ("seps", "both") else None
     return seps, pmcs_by_vc(g, basis, separators=seps) if what in ("pmcs", "both") else None
-
-
-def _fill_params(report: RunReport, g: Graph, method: str):
-    """Record the route's parameter in the report; return the route's basis.
-
-    Called once per component, it sums the covers and keeps the widest
-    modular width, which gives the whole graph's parameter.
-    """
-    basis = _route_basis(g, method)
-    if method == "vc":
-        report.vc = (report.vc or 0) + len(basis)
-    elif method == "mw":
-        report.mw = max(report.mw or 0, modular_width(basis))
-    return basis
 
 
 def solve_value(g: Graph, problem: str, method: str, jobs: int = 1, report=None) -> int:
@@ -171,7 +164,7 @@ def solve_value(g: Graph, problem: str, method: str, jobs: int = 1, report=None)
     values = []
     for comp in components(g, VertexSet()):
         sub, _ = induced_subgraph(g, comp)
-        basis = _route_basis(sub, method) if report is None else _fill_params(report, sub, method)
+        basis = _route_basis(sub, method, report)
         if method == "mw":
             values.append(_solve_tree(basis, problem))
             continue
@@ -187,7 +180,7 @@ def solve_value(g: Graph, problem: str, method: str, jobs: int = 1, report=None)
 def _cmd_enum(args) -> tuple[RunReport, int]:
     source, g = _resolve_graph(args)
     report = RunReport(command="enum", source=source, n=g.n, m=g.m)
-    basis = _fill_params(report, g, args.method)
+    basis = _route_basis(g, args.method, report)
     seps, catalog = _route_lists(g, args.method, args.jobs, basis, args.what)
     if args.what == "seps":
         report.results = {
@@ -205,7 +198,7 @@ def _cmd_enum(args) -> tuple[RunReport, int]:
 def _cmd_count(args) -> tuple[RunReport, int]:
     source, g = _resolve_graph(args)
     report = RunReport(command="count", source=source, n=g.n, m=g.m)
-    basis = _fill_params(report, g, args.method)
+    basis = _route_basis(g, args.method, report)
     seps, catalog = _route_lists(g, args.method, args.jobs, basis, args.what)
     counts: dict = {}
     if args.what in ("seps", "both"):
@@ -267,7 +260,7 @@ def _cmd_verify(args) -> tuple[RunReport, int]:
             report.n, report.m = g.n, g.m
         sep_sets, pmc_sets = {}, {}
         for method in methods:
-            basis = _fill_params(report, g, method) if single else _route_basis(g, method)
+            basis = _route_basis(g, method, report if single else None)
             seps, catalog = _route_lists(g, method, args.jobs, basis)
             sep_sets[method] = {vs.mask for vs in seps}
             pmc_sets[method] = set(catalog.mask_set())
@@ -319,7 +312,7 @@ def _cmd_bench(args) -> tuple[RunReport, int]:
     timings["build"] = _ms_since(t0)
     report = RunReport(command="bench", source=source, n=g.n, m=g.m)
     t0 = time.perf_counter()
-    basis = _fill_params(report, g, args.method)
+    basis = _route_basis(g, args.method, report)
     if args.method != "brute":
         timings["vertex_cover" if args.method == "vc" else "decompose"] = _ms_since(t0)
     # mw and brute list both at once, so they time one stage; vc sweeps twice

@@ -244,24 +244,25 @@ def _node_candidates(g: Graph, node: ModuleNode) -> tuple[set[int], set[int]]:
 
 
 def enumerate_by_mw(g: Graph, tree: ModuleTree | None = None,
-                    what: str = "both") -> tuple[list[VertexSet], PmcCatalog]:
+                    what: str = "both") -> tuple[list[VertexSet] | None, PmcCatalog | None]:
     """Minimal separators and PMC catalog of g via its modular decomposition.
 
     The tree yields candidates: at each node, expansions of quotient-level
     results plus each child's candidates padded with the child's outside
     neighborhood. Each distinct candidate is checked once, on g, so the final
-    lists are exactly the separators and PMCs of g. With ``what`` "pmcs" the
-    separator candidates are not filtered and the separator list is empty.
-    The catalog keeps the components of g - Omega its filter found, which the
-    solvers' block DP reads.
+    lists are exactly the separators and PMCs of g. ``what`` is "seps",
+    "pmcs" or "both"; the list not asked for is not filtered and comes back
+    None. The catalog keeps the components of g - Omega its filter found,
+    which the solvers' block DP reads.
     """
     if tree is None:
         tree = modular_decomposition(g)
     elif tree.graph != g:
         raise InputError("decomposition tree was built for a different graph")
     sep_cands, pmc_cands = _node_candidates(g, tree.root)
-    seps = [] if what == "pmcs" else [s for s in sep_cands if _min_sep_mask(g.adj, s, g.full_mask)]
-    return canonical_sets(seps), PmcCatalog.collect(g, pmc_cands)
+    seps = None if what == "pmcs" else canonical_sets(
+        s for s in sep_cands if _min_sep_mask(g.adj, s, g.full_mask))
+    return seps, None if what == "seps" else PmcCatalog.collect(g, pmc_cands)
 
 
 def tree_to_json(t: ModuleTree) -> dict:

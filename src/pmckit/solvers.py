@@ -9,8 +9,10 @@ the recognizer, the subset scan or the listing that verified Omega found
 them, so the DP runs no component search. Blocks are processed by increasing
 (|S + C|, |C|), which every recursive dependency strictly decreases, so a
 single bottom-up pass suffices. The oracles search every vertex elimination
-order instead; the graph reached after eliminating a set does not depend on
-the order within the set, so the search memoizes on subsets and stays exact.
+order instead, memoized on the eliminated set S, since the graph reached does
+not depend on the order within S; the vertex v eliminated next borders Q(S, v),
+the neighbourhood of v's component in G[S + v] (Bodlaender, Fomin, Koster,
+Kratsch and Thilikos, ESA 2006), which graph._component_table stores.
 The tree solver of the mw route combines both along the modular
 decomposition: closed forms at union and join nodes, the block DP on each
 prime quotient of single vertices, and the same elimination search, with
@@ -150,26 +152,6 @@ def min_fill_in(g: Graph, catalog: PmcCatalog) -> int:
 # Elimination search: the oracles and the prime step of the tree solver
 # ---------------------------------------------------------------------------
 
-def _fill_adjacency(adj: tuple[int, ...], n: int, eliminated: int, table) -> list[int]:
-    """Adjacency among surviving vertices after eliminating a set, as masks.
-
-    Two survivors are adjacent iff they are adjacent in the input graph or
-    both border one component of the eliminated set; those components come
-    from the chain of graph._component_table's ``table``. Entries of
-    eliminated vertices are not meaningful.
-    """
-    first, nbr = table
-    alive = ((1 << n) - 1) & ~eliminated
-    fa = [a & alive for a in adj]
-    rest = eliminated
-    while rest:
-        nb = nbr[rest]
-        for v in iter_bits(nb):
-            fa[v] |= nb & ~(1 << v)
-        rest ^= first[rest]
-    return fa
-
-
 def _elimination_search(adj: tuple[int, ...], modules, problem: str) -> int:
     """Treewidth ('tw'), or the fewest edges of a chordal supergraph ('fillin'), of a substitution.
 
@@ -177,14 +159,17 @@ def _elimination_search(adj: tuple[int, ...], modules, problem: str) -> int:
     ``modules[i]`` is (value, w, e), the module's treewidth or fill-in, its
     vertex count and its edge count; a plain vertex is (0, 1, 0). Some
     optimal elimination order eliminates each module whole (Bodlaender and
-    Rotics, Algorithmica 2003). Module i eliminated after a set S borders,
-    in full, the survivors Q that it reaches through S, and it is already a
-    clique when one of its neighbours lies in S. Its largest bag then has
-    w(Q) + w_i - 1 vertices, else w(Q) + tw_i. It adds w_i * w(Q) edges to
-    the chordal supergraph, plus C(w_i, 2), else e_i + fill_i, inside; the
-    fill-in is that total less the graph's edges. The graph reached does not
-    depend on the order within S, so the search keeps one best value per
-    set; every set is reached.
+    Rotics, Algorithmica 2003). Module v eliminated after a set S borders,
+    in full, Q(S, v): N(C) for v's component C of G[S + v], which lies
+    outside S + v (Bodlaender, Fomin, Koster, Kratsch and Thilikos, "On
+    exact algorithms for treewidth", ESA 2006). The walk c = S + v,
+    c - first[c], ... of graph._component_table meets C as first[c], where
+    nbr[c] = N(C). Module v is already a clique when one of its neighbours
+    lies in S. Its largest bag then has w(Q) + w_v - 1 vertices, else
+    w(Q) + tw_v. It adds w_v * w(Q) edges to the chordal supergraph, plus
+    C(w_v, 2), else e_v + fill_v, inside; the fill-in is that total less the
+    graph's edges. So best(S + v) is the least fold(best(S), cost(S, v)),
+    fold max for treewidth and + for fill, and best(V) is the answer.
     """
     n = len(adj)
     full = (1 << n) - 1
@@ -205,18 +190,20 @@ def _elimination_search(adj: tuple[int, ...], modules, problem: str) -> int:
             low = m & -m
             weights[m] = weights[m ^ low] + sizes[low.bit_length() - 1]
         weight = weights.__getitem__
-    table = _component_table(adj, n)
+    first, nbr = _component_table(adj, n)
     dp = [_INF] * (full + 1)
     dp[0] = 0
     for s in range(full):
         base = dp[s]
-        fa = _fill_adjacency(adj, n, s, table)
         rest = full & ~s
         while rest:
             low = rest & -rest
             rest ^= low
             v = low.bit_length() - 1
-            cand = fold(base, scale[v] * weight(fa[v]) + (merged[v] if adj[v] & s else own[v]))
+            c = s | low
+            while not first[c] & low:
+                c ^= first[c]
+            cand = fold(base, scale[v] * weight(nbr[c]) + (merged[v] if adj[v] & s else own[v]))
             if cand < dp[s | low]:
                 dp[s | low] = cand
     return dp[full]

@@ -592,3 +592,21 @@ class TestWorkDoneOnce:
         assert code == 0
         assert blob["results"]["counts"] == {"separators": 14, "pmcs": 34}
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--family", "cube", "--method", "mw"],
+        ["enum", "seps", "--family", "cube", "--method", "mw"],
+    ])
+    def test_mw_separators_build_no_catalog(self, capsys, monkeypatch, argv):
+        collected = []
+        collect = PmcCatalog.collect.__func__
+
+        def counted_collect(cls, graph, candidates):
+            collected.append(graph)
+            return collect(cls, graph, candidates)
+
+        monkeypatch.setattr(PmcCatalog, "collect", classmethod(counted_collect))
+        code, blob = run_json(capsys, argv)
+        assert code == 0
+        assert blob["results"]["counts"] == {"separators": 14}
+        assert collected == []

@@ -29,6 +29,7 @@ def test_summary_takes_median_and_quartiles():
                                                "unit": "1/s"}
     assert summary["metrics"]["peak_rss_mib"]["median"] == 29.0
     assert [r["seed"] for r in summary["runs"]] == [1, 2, 3, 4, 5]
+    assert summary["incorrect"] == 0
     assert summary["runs"][0] == {"seed": 1, "correct": True, "attempted": 10, "failed": 0,
                                   "metrics": {"ops_per_s": 10.0, "peak_rss_mib": 30.0}}
 
@@ -36,10 +37,20 @@ def test_summary_takes_median_and_quartiles():
 def test_summary_keeps_a_run_without_result():
     crashed = {"seed": 2, "correct": False, "error": "Traceback ..."}
     summary = collect_bench.summarize([run(1, 8.0, 30.0, correct=False, failed=1), crashed])
-    assert summary["metrics"]["ops_per_s"] == {"median": 8.0, "q1": 8.0, "q3": 8.0, "n": 1,
-                                               "unit": "1/s"}
+    assert summary["metrics"] == {}
+    assert summary["incorrect"] == 2
     assert [(r["correct"], r["failed"]) for r in summary["runs"]] == [(False, 1), (False, None)]
     assert summary["runs"][1]["metrics"] == {}
+
+
+def test_summary_medians_skip_incorrect_runs():
+    runs = [run(1, 10.0, 30.0), run(2, 99.0, 5.0, correct=False, failed=3), run(3, 12.0, 32.0)]
+    summary = collect_bench.summarize(runs)
+    assert summary["metrics"]["ops_per_s"] == {"median": 11.0, "q1": 10.5, "q3": 11.5, "n": 2,
+                                               "unit": "1/s"}
+    assert summary["metrics"]["peak_rss_mib"]["median"] == 31.0
+    assert summary["incorrect"] == 1
+    assert summary["runs"][1]["metrics"] == {"ops_per_s": 99.0, "peak_rss_mib": 5.0}
 
 
 @pytest.mark.parametrize("text, seeds", [("3", [3]), ("1-4", [1, 2, 3, 4]), ("1-2,7", [1, 2, 7])])

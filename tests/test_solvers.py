@@ -7,7 +7,8 @@ from itertools import permutations
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import strategies
 from pmckit import (
@@ -271,6 +272,20 @@ class TestTreeSolver:
         g, _ = expand_graph(complete(2), [disjoint_union(cycle(4), path(2)), cycle(5)])
         assert solve_value(g, "tw", "mw") == brute_force_treewidth(g) == solve_value(g, "tw", "vc")
         assert solve_value(g, "fillin", "mw") == brute_force_fill_in(g)
+
+    # expanded graphs of at most 14 vertices; 30 examples take well under a second
+    @settings(max_examples=30, deadline=None)
+    @given(strategies.graphs(max_n=5), st.data())
+    def test_weighted_search_matches_the_expanded_graph(self, quotient, data):
+        # the weighted elimination search on a quotient of arbitrary modules
+        # against the block DP over the subset scan of the expanded graph
+        modules = [data.draw(strategies.graphs(max_n=3)) for _ in range(quotient.n)]
+        assume(sum(m.n for m in modules) <= 14)
+        g, _ = expand_graph(quotient, modules)
+        for problem in ("tw", "fillin"):
+            triples = [(solve_value(m, problem, "brute"), m.n, m.m) for m in modules]
+            value = pmckit.solvers._elimination_search(quotient.adj, triples, problem)
+            assert value - (0 if problem == "tw" else g.m) == solve_value(g, problem, "brute"), problem
 
     def test_deep_cograph_solves_fast(self):
         g = threshold(300)

@@ -10,9 +10,9 @@ by seed: the i-th seed starts with checkout i mod k, so no checkout always
 runs first. Each checkout must be a git work tree with no uncommitted
 change to a tracked file, since its HEAD names the file, written at the
 root of the repository holding this script. The file holds, per workload,
-the median and quartiles of each end-to-end metric,
-and each run's seed, `correct`, `attempted`, `failed` and metric values,
-plus the SHA, the Python version and the --note string. Runs taken in one
+the median and quartiles of each end-to-end metric over the correct runs,
+the number of runs that were not correct, and each run's seed, `correct`,
+`attempted`, `failed` and metric values, plus the SHA, the Python version and the --note string. Runs taken in one
 invocation are pairs that can be compared seed by seed.
 """
 
@@ -59,15 +59,18 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(runs: list[dict]) -> dict:
-    """Median and quartiles of each metric over the runs that reported metrics.
+    """Median and quartiles of each metric over the correct runs, and how many runs were not.
 
     A run is a bench/run.py result, {"correct", "attempted", "failed",
     "metrics": {name: {"value", "unit"}}}, plus its "seed"; a run that
-    printed no result has no "metrics".
+    printed no result has no "metrics" and is not correct. A run whose
+    outputs were wrong measures nothing, so its metrics stay out of the
+    medians; every run is still listed.
     """
     values: dict[str, list[float]] = {}
     units: dict[str, str] = {}
-    for run in runs:
+    correct = [run for run in runs if run.get("correct", False)]
+    for run in correct:
         for name, metric in run.get("metrics", {}).items():
             values.setdefault(name, []).append(metric["value"])
             units[name] = metric["unit"]
@@ -78,6 +81,7 @@ def summarize(runs: list[dict]) -> dict:
                          "unit": units[name]}
     return {
         "metrics": summary,
+        "incorrect": len(runs) - len(correct),
         "runs": [{"seed": run["seed"], "correct": run.get("correct", False),
                   "attempted": run.get("attempted", 0), "failed": run.get("failed"),
                   "metrics": {k: m["value"] for k, m in sorted(run.get("metrics", {}).items())}}
