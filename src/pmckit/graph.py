@@ -192,8 +192,11 @@ def induced_subgraph(g: Graph, keep: VertexSet) -> tuple[Graph, list[int]]:
     """Subgraph induced on ``keep``, relabeled to 0..k-1.
 
     Returns the new graph and the list mapping new indices to old ones.
+    Graphs are immutable, so keeping every vertex returns g itself.
     """
     _validate_subset(g, keep)
+    if keep.mask == g.full_mask:
+        return g, list(range(g.n))
     old = keep.to_list()
     pos = {v: i for i, v in enumerate(old)}
     adj = [0] * len(old)

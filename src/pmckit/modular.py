@@ -20,7 +20,7 @@ from typing import Sequence
 from .bitset import VertexSet, canonical_sets, iter_bits
 from .errors import InputError
 from .graph import Graph, _components_with_nbrs, _graph_from_adj, _nbr_mask
-from .recognition import PmcCatalog, _min_sep_mask, _pmc_listing
+from .recognition import PmcCatalog, _min_sep_mask, _pmc_listing, _separator_closure
 
 
 @dataclass(frozen=True)
@@ -204,19 +204,26 @@ def expand_graph(quotient: Graph, modules: Sequence[Graph]) -> tuple[Graph, list
     return _graph_from_adj(total, adj), child_sets
 
 
-def base_enumerate(quotient: Graph) -> tuple[list[VertexSet], PmcCatalog]:
-    """Minimal separators and PMC catalog of a prime quotient, output-sensitively (no size cap)."""
+def base_enumerate(quotient: Graph,
+                   what: str = "both") -> tuple[list[VertexSet] | None, PmcCatalog | None]:
+    """Minimal separators and PMC catalog of a prime quotient, output-sensitively (no size cap).
+
+    ``what`` is "seps", "pmcs" or "both"; the list not asked for is None.
+    """
+    if what == "seps":
+        return canonical_sets(_separator_closure(quotient.adj, quotient.full_mask)), None
     seps, pmcs = _pmc_listing(quotient.adj, quotient.full_mask)
-    return canonical_sets(seps), PmcCatalog.from_pieces(quotient, pmcs)
+    return None if what == "pmcs" else canonical_sets(seps), PmcCatalog.from_pieces(quotient, pmcs)
 
 
-def _node_candidates(g: Graph, node: ModuleNode) -> tuple[set[int], set[int]]:
+def _node_candidates(g: Graph, node: ModuleNode, what: str) -> tuple[set[int], set[int]]:
     """Separator and PMC candidates of the subgraph on the node's vertices.
 
     They contain every minimal separator and PMC of that subgraph: each is an
     expansion of a quotient object or a child's object padded with the child's
     outside neighborhood. Padding is monotone, so unfiltered child candidates
-    keep that property; the caller filters once, on g.
+    keep that property; the caller filters once, on g. A prime quotient lists
+    only ``what`` the caller asks for, so the other set may miss objects.
     """
     if node.kind == "leaf":
         return set(), {node.vertices.mask}
@@ -231,12 +238,12 @@ def _node_candidates(g: Graph, node: ModuleNode) -> tuple[set[int], set[int]]:
         # A complete quotient has no separators and one PMC: everything.
         pmc_cands.add(space)
     else:
-        q_seps, q_pmcs = base_enumerate(node.quotient)
+        q_seps, q_pmcs = base_enumerate(node.quotient, what)
         child_sets = [c.vertices for c in node.children]
-        sep_cands.update(expand(s, child_sets).mask for s in q_seps)
-        pmc_cands.update(expand(o, child_sets).mask for o in q_pmcs)
+        sep_cands.update(expand(s, child_sets).mask for s in q_seps or ())
+        pmc_cands.update(expand(o, child_sets).mask for o in q_pmcs or ())
     for child in node.children:
-        child_seps, child_pmcs = _node_candidates(g, child)
+        child_seps, child_pmcs = _node_candidates(g, child, what)
         nh = _nbr_mask(g.adj, child.vertices.mask) & space
         sep_cands.update(s | nh for s in child_seps)
         pmc_cands.update(o | nh for o in child_pmcs)
@@ -259,7 +266,7 @@ def enumerate_by_mw(g: Graph, tree: ModuleTree | None = None,
         tree = modular_decomposition(g)
     elif tree.graph != g:
         raise InputError("decomposition tree was built for a different graph")
-    sep_cands, pmc_cands = _node_candidates(g, tree.root)
+    sep_cands, pmc_cands = _node_candidates(g, tree.root, what)
     seps = None if what == "pmcs" else canonical_sets(
         s for s in sep_cands if _min_sep_mask(g.adj, s, g.full_mask))
     return seps, None if what == "seps" else PmcCatalog.collect(g, pmc_cands)

@@ -298,42 +298,61 @@ def _separator_closure(adj: tuple[int, ...], space: int) -> list[int]:
     return seps
 
 
+def _prefix_separators(adj: tuple[int, ...], space: int) -> list[list[int]]:
+    """Minimal separators of each prefix of ``space``: entry i is for its i + 1 lowest vertices.
+
+    One closure runs, on the whole space. Going down one vertex a at a time,
+    a minimal separator S of prefix P either stays one of P + a or S + a is
+    one (Bouchitté and Todinca), so S is T & P for a separator T of P + a;
+    the distinct T & P that pass the recognizer on P are P's separators.
+    """
+    seps, out = _separator_closure(adj, space), []
+    while space:
+        out.append(seps)
+        space &= ~(1 << (space.bit_length() - 1))
+        seps = [s for s in {t & space for t in seps} if _min_sep_mask(adj, s, space)]
+    return out[::-1]
+
+
 def _pmc_listing(adj: tuple[int, ...], space: int) -> tuple[list[int], dict[int, tuple]]:
     """(minimal separators, {PMC: pieces}) of the subgraph on ``space`` (Bouchitté, Todinca).
 
-    Adds the vertices of ``space`` in ascending order. The PMCs of the prefix
-    plus a are among: each PMC Omega of the prefix, with or without a; S + a
-    for each separator S; and S + (C & T) for each new separator S without
-    a, each full component C of S and each separator T. Candidates pass the
-    recognizer on the grown prefix. Omega + a is a candidate only when Omega
-    fails there: if Omega is a PMC of the grown prefix, let D be the
-    component of its complement holding a and u a vertex of Omega - N(D).
-    Then a and u are non-adjacent, and no component of the grown prefix
-    minus Omega + a sees both (those inside D miss u, the others miss a), so
-    Omega + a is no PMC. Each PMC keeps the pieces its last recognizer call
-    found, those of the whole space once the last vertex is in.
+    Adds the vertices of ``space`` in ascending order. Each PMC Omega of the
+    prefix is carried by its pieces: a merges the components it touches into
+    one, D, with N(D) = (N(a) & Omega) | their N(C), and pair coverage only
+    grows. So Omega stays a PMC when N(D) != Omega; otherwise Omega + a is
+    one, with the same components, since a and any u in Omega - N(a) border
+    a component merged into D. The other PMCs of the grown prefix are among
+    S + a for each separator S, and S + (C & T) for each new separator S
+    without a, each full component C of S and each separator T; a candidate
+    that is a separator or a PMC of either prefix skips the recognizer.
+    Pieces are by lowest vertex, as a search of the prefix minus Omega finds them.
     """
     prefix, seps, pmcs = 0, [], {}
-    for a in iter_bits(space):
-        bit = 1 << a
+    for a, grown in zip(iter_bits(space), _prefix_separators(adj, space)):
+        bit, na = 1 << a, adj[a]
         prefix |= bit
-        old_seps, seps = set(seps), _separator_closure(adj, prefix)
+        old_seps, seps, kept = set(seps), grown, {}
+        for o, pieces in pmcs.items():
+            nd, d, rest = na & o, bit, []
+            for s, comp in pieces:
+                if comp & na:
+                    nd, d = nd | s, d | comp
+                else:
+                    rest.append((s, comp))
+            if nd != o:
+                kept[o] = tuple(sorted(rest + [(nd, d)], key=lambda p: p[1] & -p[1]))
+            else:
+                kept[o | bit] = tuple((s | bit if comp & na else s, comp) for s, comp in pieces)
         # {a} is the one-vertex prefix's PMC
         cands = {bit, *(s | bit for s in seps)}
-        kept = {}
-        for o in pmcs:
-            pieces = _pmc_pieces(adj, o, prefix)
-            if pieces is None:
-                cands.add(o | bit)
-            else:
-                kept[o] = pieces
         for s in seps:
             if s & bit or s in old_seps:
                 continue
             for comp, nb in _components_with_nbrs(adj, prefix & ~s):
                 if nb & prefix == s:
                     cands.update(s | (comp & t) for t in seps)
-        cands.difference_update(pmcs)
+        cands.difference_update(seps, kept, pmcs)
         for o in cands:
             pieces = _pmc_pieces(adj, o, prefix)
             if pieces is not None:

@@ -263,7 +263,7 @@ def _node_value(g: Graph, node: ModuleNode, kids: list, problem: str) -> tuple[i
             missing = [kw * (kw - 1) // 2 - ke for _, kw, ke in kids]
             value = sum(missing) + min(kv - m for (kv, _, _), m in zip(kids, missing))
     elif all(c.kind == "leaf" for c in node.children):
-        value = _catalog_value(q, base_enumerate(q)[1], problem)
+        value = _catalog_value(q, base_enumerate(q, "pmcs")[1], problem)
     else:
         value = _elimination_search(q.adj, kids, problem) - (0 if tw else e)
     return value, w, e

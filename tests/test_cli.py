@@ -606,7 +606,8 @@ class TestWorkDoneOnce:
             return collect(cls, graph, candidates)
 
         monkeypatch.setattr(PmcCatalog, "collect", classmethod(counted_collect))
+        listings = count_calls(monkeypatch, "_pmc_listing", [pmckit.modular])
         code, blob = run_json(capsys, argv)
         assert code == 0
         assert blob["results"]["counts"] == {"separators": 14}
-        assert collected == []
+        assert collected == [] and listings == []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import json
 import os
 import subprocess
 
@@ -51,6 +52,39 @@ def test_summary_medians_skip_incorrect_runs():
     assert summary["metrics"]["peak_rss_mib"]["median"] == 31.0
     assert summary["incorrect"] == 1
     assert summary["runs"][1]["metrics"] == {"ops_per_s": 99.0, "peak_rss_mib": 5.0}
+
+
+END_TO_END = [{"name": "ops_per_s", "better": "higher"}, {"name": "peak_rss_mib", "better": "lower"}]
+
+
+def test_pair_summary_counts_wins_in_each_direction():
+    first = {"w": [run(1, 10.0, 30.0), run(2, 10.0, 30.0), run(3, 10.0, 30.0), run(4, 10.0, 30.0)]}
+    # seed 3 ties on ops_per_s, seed 4 is not correct on the second side
+    second = {"w": [run(1, 12.0, 31.0), run(2, 9.0, 27.0), run(3, 10.0, 33.0),
+                    run(4, 99.0, 1.0, correct=False)]}
+    assert collect_bench.pair_summary(END_TO_END, first, second) == [
+        "w ops_per_s: median ratio 1.000, second better on 1/3 seeds",
+        "w peak_rss_mib: median ratio 1.033, second better on 1/3 seeds",
+    ]
+
+
+def test_two_checkouts_print_the_pair_summary(tmp_path, monkeypatch, capsys):
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    (first / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["false"], "run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": END_TO_END}))
+    monkeypatch.setattr(collect_bench, "ROOT", str(tmp_path))
+    monkeypatch.setattr(collect_bench, "uncommitted", lambda checkout: "")
+    monkeypatch.setattr(collect_bench, "git_sha", {str(first): "a" * 40, str(second): "b" * 40}.get)
+    monkeypatch.setattr(collect_bench, "bench_once", lambda checkout, command, workload, seed, seconds:
+                        run(seed, 10.0 if checkout == str(first) else 5.0 * seed, 30.0))
+    assert collect_bench.main(["--checkout", str(first), "--checkout", str(second),
+                               "--note", "test", "--seeds", "1-3"]) == 0
+    err = capsys.readouterr().err
+    assert "pairs, bbbbbbb over aaaaaaa:" in err
+    assert "w ops_per_s: median ratio 1.000, second better on 1/3 seeds" in err
+    assert "w peak_rss_mib: median ratio 1.000, second better on 0/3 seeds" in err
+    assert sorted(p.name for p in tmp_path.glob("BENCH_*.json")) == ["BENCH_aaaaaaa.json", "BENCH_bbbbbbb.json"]
 
 
 @pytest.mark.parametrize("text, seeds", [("3", [3]), ("1-4", [1, 2, 3, 4]), ("1-2,7", [1, 2, 7])])

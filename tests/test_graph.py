@@ -253,6 +253,10 @@ class TestSubgraphs:
         assert sub.n == 4 and sub.m == 2  # edges b-f and d-h survive
         assert sub.has_edge(0, 2) and sub.has_edge(1, 3)
 
+    def test_induced_subgraph_on_every_vertex_is_the_graph(self, cube_graph):
+        sub, old = induced_subgraph(cube_graph, VertexSet(cube_graph.full_mask))
+        assert sub is cube_graph and old == list(range(8))
+
     def test_prefix_graph(self):
         g = cycle(5)
         pg = prefix_graph(g, 3)

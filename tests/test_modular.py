@@ -16,6 +16,7 @@ from pmckit import (
     brute_force_lists,
     complete,
     contract,
+    cube,
     cycle,
     empty_graph,
     enumerate_by_mw,
@@ -309,6 +310,14 @@ class TestBaseEnumerate:
     def test_edgeless(self):
         seps, _ = base_enumerate(empty_graph(3))
         assert VertexSet() in seps
+
+    @pytest.mark.parametrize("name", ["cube", "path5", "gnp9"])
+    def test_lists_only_what_is_asked(self, monkeypatch, name):
+        g = {"cube": cube(), "path5": path(5), "gnp9": gnp(9, 0.4, 3)}[name]
+        seps, catalog = base_enumerate(g)
+        assert base_enumerate(g, "pmcs") == (None, catalog)
+        monkeypatch.setattr(modular, "_pmc_listing", None)
+        assert base_enumerate(g, "seps") == (seps, None)
 
     def test_no_size_cap(self):
         # 21 vertices: no size cap refuses it

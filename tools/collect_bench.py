@@ -13,7 +13,10 @@ root of the repository holding this script. The file holds, per workload,
 the median and quartiles of each end-to-end metric over the correct runs,
 the number of runs that were not correct, and each run's seed, `correct`,
 `attempted`, `failed` and metric values, plus the SHA, the Python version and the --note string. Runs taken in one
-invocation are pairs that can be compared seed by seed.
+invocation are pairs that can be compared seed by seed. With two checkouts,
+a pair summary goes to stderr: for each workload and end-to-end metric, the
+median per-seed ratio, second checkout over first, and the number of seeds
+where the second is better, in the direction BENCHMARK.json gives.
 """
 
 from __future__ import annotations
@@ -89,6 +92,29 @@ def summarize(runs: list[dict]) -> dict:
     }
 
 
+def pair_summary(end_to_end: list[dict], first: dict, second: dict) -> list[str]:
+    """Per workload and end-to-end metric, the median ratio second/first over the seeds, and the wins.
+
+    ``first`` and ``second`` map each workload to its runs. A seed pairs up
+    when both its runs are correct; the second wins it when its value is
+    better in the metric's ``better`` direction, and a tie counts for neither.
+    """
+    lines = []
+    for workload in first:
+        a, b = ({run["seed"]: run["metrics"] for run in runs[workload] if run.get("correct")}
+                for runs in (first, second))
+        for metric in end_to_end:
+            name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+            pairs = [(a[s][name]["value"], b[s][name]["value"]) for s in a
+                     if s in b and name in a[s] and name in b[s]]
+            if pairs:
+                wins = sum(sign * (y - x) > 0 for x, y in pairs)
+                ratio = statistics.median(y / x for x, y in pairs)
+                lines.append(f"{workload} {name}: median ratio {ratio:.3f}, "
+                             f"second better on {wins}/{len(pairs)} seeds")
+    return lines
+
+
 def git_sha(checkout: str) -> str:
     return subprocess.run(["git", "-C", checkout, "rev-parse", "HEAD"], check=True,
                           capture_output=True, text=True).stdout.strip()
@@ -162,6 +188,10 @@ def main(argv=None) -> int:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
         print(path)
+    if len(shas) == 2:
+        print(f"pairs, {shas[1][:7]} over {shas[0][:7]}:", file=sys.stderr)
+        for line in pair_summary(benchmark["end_to_end"], runs[shas[0]], runs[shas[1]]):
+            print(line, file=sys.stderr)
     return 0
 
 
