@@ -1,7 +1,7 @@
 """Minimal separators, potential maximal cliques, and exact treewidth / fill-in.
 
 Enumeration is parameterized either by a vertex cover (partition sweeps) or by
-modular width (recursion over the modular decomposition tree); exhaustive
+modular width (a bottom-up walk of the modular decomposition tree); exhaustive
 subset oracles provide ground truth, and a block dynamic program over the PMC
 catalog computes treewidth and minimum fill-in exactly.
 """
@@ -33,7 +33,6 @@ from .modular import (
     ModuleNode,
     ModuleTree,
     base_enumerate,
-    contract,
     enumerate_by_mw,
     expand,
     expand_graph,
@@ -91,7 +90,6 @@ __all__ = [
     "canonical_sets",
     "complete",
     "components",
-    "contract",
     "cube",
     "cycle",
     "dp_blocks",

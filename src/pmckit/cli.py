@@ -300,8 +300,8 @@ def _cmd_decompose(args) -> tuple[RunReport, int]:
     source, g = _resolve_graph(args)
     tree = modular_decomposition(g)
     report = RunReport(command="decompose", source=source, n=g.n, m=g.m)
-    report.mw = modular_width(tree)
     report.results = {"decomposition": tree_to_json(tree), "counts": {}}
+    report.mw = report.results["decomposition"]["modular_width"]
     return report, 0
 
 

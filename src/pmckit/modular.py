@@ -1,20 +1,21 @@
 """Modular decomposition and modular-width-parameterized enumeration.
 
-The decomposition is a plain recursive partition scheme: split on connected
-components (union node) or co-components (join node); otherwise the node is
-prime, and its maximal proper strong modules come from vertex partition
-refinement (after Habib and Paul's survey of modular decomposition, 2010).
-Enumeration walks the tree bottom-up, combining child candidates with
-quotient-level results, and passes every distinct candidate through the
-recognizers once, on the whole graph. Prime quotients are listed
-output-sensitively (the separator closure and the one-more-vertex PMC listing
-of the recognition module), their results expanded to the children's vertex
-sets; no step scans subsets.
+The decomposition splits on connected components (union node) or
+co-components (join node); otherwise the node is prime, and its maximal
+proper strong modules come from vertex partition refinement (after Habib and
+Paul's survey of modular decomposition, 2010). Building the tree and every
+pass over it are one bottom-up walk on an explicit stack, for any depth.
+Enumeration combines child candidates with quotient-level results and passes
+every distinct candidate through the recognizers once, on the whole graph.
+Prime quotients are listed output-sensitively (the separator closure and the
+one-more-vertex PMC listing of the recognition module), their results
+expanded to the children's vertex sets; no step scans subsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 from .bitset import VertexSet, canonical_sets, iter_bits
@@ -107,29 +108,49 @@ def _prime_partition(adj: tuple[int, ...], space: int) -> list[int]:
     return sorted([m_v] + [p for p in parts if not p & m_v], key=lambda p: p & -p)
 
 
-def _decompose(g: Graph, co_adj: tuple[int, ...], space: int) -> ModuleNode:
+def _post_order(root, split, join):
+    """join's result at root, computed bottom-up over the tree that split unfolds.
+
+    split(x) returns (info, parts), and join(info, results) gets the results
+    of x's parts in order. Splits pop an explicit stack and joins run in the
+    reverse order, when the results of a node's parts end the value list. No
+    call recurses, so a tree of any depth is walked.
+    """
+    nodes, stack = [], [root]
+    while stack:
+        info, parts = split(stack.pop())
+        nodes.append((info, len(parts)))
+        stack += parts
+    results = []
+    for info, k in reversed(nodes):
+        cut = len(results) - k
+        results[cut:] = [join(info, results[cut:])]
+    return results[0]
+
+
+def _node_parts(node: ModuleNode):
+    return node, node.children
+
+
+def _decompose(g: Graph, co_adj: tuple[int, ...], space: int):
+    """(kind, space, quotient) of the module on ``space``, with its children's spaces."""
     if space & (space - 1) == 0:
-        return ModuleNode(kind="leaf", vertices=VertexSet(space))
+        return ("leaf", space, None), ()
     comps = [c for c, _ in _components_with_nbrs(g.adj, space)]
     if len(comps) > 1:
-        children = tuple(_decompose(g, co_adj, c) for c in comps)
-        quotient = _graph_from_adj(len(children), [0] * len(children))
-        return ModuleNode("union", VertexSet(space), children, quotient)
+        return ("union", space, _graph_from_adj(len(comps), [0] * len(comps))), comps
     co_comps = [c for c, _ in _components_with_nbrs(co_adj, space)]
     if len(co_comps) > 1:
-        children = tuple(_decompose(g, co_adj, c) for c in co_comps)
-        p = len(children)
+        p = len(co_comps)
         full = (1 << p) - 1
-        quotient = _graph_from_adj(p, [full & ~(1 << i) for i in range(p)])
-        return ModuleNode("join", VertexSet(space), children, quotient)
+        return ("join", space, _graph_from_adj(p, [full & ~(1 << i) for i in range(p)])), co_comps
     parts = _prime_partition(g.adj, space)
     assert len(parts) >= 2, "prime split of a connected, co-connected graph"
-    children = tuple(_decompose(g, co_adj, part) for part in parts)
     adj_q = []
     for part in parts:
         nbrs = g.adj[(part & -part).bit_length() - 1] & ~part
         adj_q.append(sum(1 << j for j, other in enumerate(parts) if nbrs & other))
-    return ModuleNode("prime", VertexSet(space), children, _graph_from_adj(len(parts), adj_q))
+    return ("prime", space, _graph_from_adj(len(parts), adj_q)), parts
 
 
 def modular_decomposition(g: Graph) -> ModuleTree:
@@ -138,19 +159,15 @@ def modular_decomposition(g: Graph) -> ModuleTree:
         raise InputError("graph must be nonempty")
     full = g.full_mask
     co_adj = tuple(full & ~a & ~(1 << v) for v, a in enumerate(g.adj))
-    return ModuleTree(graph=g, root=_decompose(g, co_adj, full))
+    root = _post_order(full, partial(_decompose, g, co_adj), lambda info, kids: ModuleNode(
+        info[0], VertexSet(info[1]), tuple(kids), info[2]))
+    return ModuleTree(graph=g, root=root)
 
 
 def modular_width(t: ModuleTree) -> int:
     """Maximum child count over prime nodes; 0 for trees without prime nodes."""
-    width = 0
-    stack = [t.root]
-    while stack:
-        node = stack.pop()
-        if node.kind == "prime":
-            width = max(width, len(node.children))
-        stack.extend(node.children)
-    return width
+    return _post_order(t.root, _node_parts, lambda node, widths: max(
+        [len(node.children) if node.kind == "prime" else 0, *widths]))
 
 
 def expand(quotient_set: VertexSet, children_vertex_sets: Sequence[VertexSet]) -> VertexSet:
@@ -160,15 +177,6 @@ def expand(quotient_set: VertexSet, children_vertex_sets: Sequence[VertexSet]) -
         if i >= len(children_vertex_sets):
             raise InputError(f"quotient vertex {i} out of range")
         mask |= children_vertex_sets[i].mask
-    return VertexSet(mask)
-
-
-def contract(h_set: VertexSet, children_vertex_sets: Sequence[VertexSet]) -> VertexSet:
-    """Quotient vertices whose child set intersects the given set."""
-    mask = 0
-    for i, child in enumerate(children_vertex_sets):
-        if child.mask & h_set.mask:
-            mask |= 1 << i
     return VertexSet(mask)
 
 
@@ -225,29 +233,32 @@ def _node_candidates(g: Graph, node: ModuleNode, what: str) -> tuple[set[int], s
     keep that property; the caller filters once, on g. A prime quotient lists
     only ``what`` the caller asks for, so the other set may miss objects.
     """
-    if node.kind == "leaf":
-        return set(), {node.vertices.mask}
-    space = node.vertices.mask
-    sep_cands: set[int] = set()
-    pmc_cands: set[int] = set()
-    if node.kind == "union":
-        # The edgeless quotient contributes only the empty separator; its PMC
-        # expansions are clique children that the child catalogs already hold.
-        sep_cands.add(0)
-    elif node.kind == "join":
-        # A complete quotient has no separators and one PMC: everything.
-        pmc_cands.add(space)
-    else:
-        q_seps, q_pmcs = base_enumerate(node.quotient, what)
-        child_sets = [c.vertices for c in node.children]
-        sep_cands.update(expand(s, child_sets).mask for s in q_seps or ())
-        pmc_cands.update(expand(o, child_sets).mask for o in q_pmcs or ())
-    for child in node.children:
-        child_seps, child_pmcs = _node_candidates(g, child, what)
-        nh = _nbr_mask(g.adj, child.vertices.mask) & space
-        sep_cands.update(s | nh for s in child_seps)
-        pmc_cands.update(o | nh for o in child_pmcs)
-    return sep_cands, pmc_cands
+
+    def join(node: ModuleNode, kids: list) -> tuple[set[int], set[int]]:
+        if node.kind == "leaf":
+            return set(), {node.vertices.mask}
+        space = node.vertices.mask
+        sep_cands: set[int] = set()
+        pmc_cands: set[int] = set()
+        if node.kind == "union":
+            # The edgeless quotient contributes only the empty separator; its PMC
+            # expansions are clique children that the child catalogs already hold.
+            sep_cands.add(0)
+        elif node.kind == "join":
+            # A complete quotient has no separators and one PMC: everything.
+            pmc_cands.add(space)
+        else:
+            q_seps, q_pmcs = base_enumerate(node.quotient, what)
+            child_sets = [c.vertices for c in node.children]
+            sep_cands.update(expand(s, child_sets).mask for s in q_seps or ())
+            pmc_cands.update(expand(o, child_sets).mask for o in q_pmcs or ())
+        for child, (child_seps, child_pmcs) in zip(node.children, kids):
+            nh = _nbr_mask(g.adj, child.vertices.mask) & space
+            sep_cands.update(s | nh for s in child_seps)
+            pmc_cands.update(o | nh for o in child_pmcs)
+        return sep_cands, pmc_cands
+
+    return _post_order(node, _node_parts, join)
 
 
 def enumerate_by_mw(g: Graph, tree: ModuleTree | None = None,
@@ -275,15 +286,15 @@ def enumerate_by_mw(g: Graph, tree: ModuleTree | None = None,
 def tree_to_json(t: ModuleTree) -> dict:
     """JSON-friendly rendering: node kind, vertices, children, quotient edges."""
 
-    def render(node: ModuleNode) -> dict:
+    def render(node: ModuleNode, children: list) -> dict:
         out: dict = {"kind": node.kind, "vertices": node.vertices.to_list()}
         if node.kind != "leaf":
             assert node.quotient is not None
-            out["children"] = [render(c) for c in node.children]
+            out["children"] = children
             out["quotient"] = {
                 "n": node.quotient.n,
                 "edges": [[u, v] for u, v in node.quotient.edges()],
             }
         return out
 
-    return {"modular_width": modular_width(t), "root": render(t.root)}
+    return {"modular_width": modular_width(t), "root": _post_order(t.root, _node_parts, render)}

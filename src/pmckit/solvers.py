@@ -28,7 +28,7 @@ from operator import add
 from .bitset import VertexSet, iter_bits
 from .errors import InputError
 from .graph import Graph, _component_table, _grow, induced_subgraph
-from .modular import ModuleNode, ModuleTree, base_enumerate, enumerate_by_mw
+from .modular import ModuleNode, ModuleTree, _post_order, base_enumerate, enumerate_by_mw
 from .recognition import PmcCatalog, _refuse_oversize
 
 # Largest quotient of a prime node with module children that the tree solver
@@ -272,7 +272,7 @@ def _node_value(g: Graph, node: ModuleNode, kids: list, problem: str) -> tuple[i
 def _solve_tree(tree: ModuleTree, problem: str) -> int:
     """Treewidth ('tw') or minimum fill-in of a graph along its modular decomposition tree.
 
-    Walks the tree bottom-up, with an explicit stack, and keeps (value,
+    Walks the tree bottom-up with modular._post_order and keeps (value,
     |M|, e(M)) for each module M. A union takes the max (treewidth) or sum
     (fill-in) of its children, and a join the best child solved inside
     with every other child completed. A prime node whose children are all
@@ -282,14 +282,5 @@ def _solve_tree(tree: ModuleTree, problem: str) -> int:
     _QUOTIENT_DP_CAP children the block DP over the catalog of its
     subgraph, whose subtree is then not walked.
     """
-    order, stack = [], [tree.root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        if not _by_catalog(node):
-            stack.extend(node.children)
-    done: dict[int, tuple[int, int, int]] = {}
-    for node in reversed(order):
-        kids = [] if _by_catalog(node) else [done.pop(id(c)) for c in node.children]
-        done[id(node)] = _node_value(tree.graph, node, kids, problem)
-    return done[id(tree.root)][0]
+    return _post_order(tree.root, lambda node: (node, () if _by_catalog(node) else node.children),
+                       lambda node, kids: _node_value(tree.graph, node, kids, problem))[0]

@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared across the test modules."""
+"""Hypothesis strategies and graph builders shared across the test modules."""
 
 from __future__ import annotations
 
@@ -17,6 +17,11 @@ def graphs(draw, min_n: int = 1, max_n: int = 8) -> Graph:
     else:
         chosen = []
     return Graph.from_edges(n, chosen)
+
+
+def threshold(n: int) -> Graph:
+    """Odd i joined to every earlier vertex: a cograph whose modular tree nests about n levels."""
+    return Graph.from_edges(n, [(i, j) for i in range(1, n, 2) for j in range(i)])
 
 
 @st.composite

@@ -16,6 +16,7 @@ import pmckit.modular
 import pmckit.recognition
 import pmckit.solvers
 import pmckit.vc
+import strategies
 from pmckit import (
     PmcCatalog,
     complete,
@@ -255,20 +256,34 @@ class TestInputGuards:
         assert "--jobs" in capsys.readouterr().err
 
     def test_deep_inputs_exit_2_without_traceback(self, capsys, tmp_path):
-        # a threshold graph (odd i joined to every earlier vertex) nests 500
-        # modules; a 2100-vertex path makes the cover search recurse per vertex
-        n = 500
-        edges = [(i, j) for i in range(1, n, 2) for j in range(i)]
+        # the stdlib JSON encoder recurses per level of a threshold graph's
+        # 500-deep decomposition; a 2100-vertex path makes the cover search
+        # recurse per vertex
         p = tmp_path / "threshold.gr"
-        p.write_text(f"p tw {n} {len(edges)}\n" + "".join(f"{i + 1} {j + 1}\n" for i, j in edges))
+        p.write_text(write_gr(strategies.threshold(500)))
         for argv in (
             ["decompose", "--input", str(p)],
-            ["solve", "tw", "--method", "mw", "--input", str(p)],
             ["enum", "seps", "--family", "path", "--n", "2100"],
         ):
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert "Traceback" not in err and "recursion" in err, argv
+
+    def test_deep_cograph_runs_on_mw(self, capsys, tmp_path):
+        # every tree pass of the mw route walks the 500-deep decomposition
+        # without recursing
+        p = tmp_path / "threshold.gr"
+        p.write_text(write_gr(strategies.threshold(500)))
+        for argv, counts in (
+            (["solve", "tw"], {"treewidth": 250}),
+            (["solve", "fillin"], {"fill_in": 0}),
+            (["count", "--what", "both"], {"separators": 249, "pmcs": 250}),
+        ):
+            code, data = run_json(capsys, argv + ["--method", "mw", "--input", str(p)])
+            assert code == 0, argv
+            assert data["results"]["counts"] == counts, argv
+        code, out = run_cli(capsys, ["decompose", "--pretty", "--input", str(p)])
+        assert code == 0 and "mw=0" in out
 
     def test_decompose_takes_no_jobs(self, capsys):
         assert main(["decompose", "--family", "cube", "--jobs", "2"]) == 2

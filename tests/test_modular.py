@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -15,7 +18,6 @@ from pmckit import (
     base_enumerate,
     brute_force_lists,
     complete,
-    contract,
     cube,
     cycle,
     empty_graph,
@@ -28,7 +30,7 @@ from pmckit import (
     path,
     tree_to_json,
 )
-from pmckit import modular, recognition
+from pmckit import modular, recognition, solvers
 from pmckit.bitset import iter_bits
 from pmckit.graph import Graph
 
@@ -233,22 +235,24 @@ class TestPrimeSplit:
         assert 0 < len(calls) < g.n
 
 
-class TestExpandContract:
+class TestExpand:
     def test_fixtures(self):
         children = [VertexSet.of(0, 1), VertexSet.of(2)]
         assert expand(VertexSet(), children) == VertexSet()
-        assert contract(VertexSet(), children) == VertexSet()
         assert expand(VertexSet.of(0), children) == VertexSet.of(0, 1)
-        assert contract(VertexSet.of(1, 2), children) == VertexSet.of(0, 1)
+        assert expand(VertexSet.of(0, 1), children) == VertexSet.of(0, 1, 2)
 
     @PROPERTY
     @given(strategies.graphs(min_n=2, max_n=6))
-    def test_contract_inverts_expand(self, q):
+    def test_expand_is_union_of_child_masks(self, q):
         modules = [path(1 + (i % 3)) for i in range(q.n)]
         _, children = expand_graph(q, modules)
         for qmask in range(1 << q.n):
-            qset = VertexSet(qmask)
-            assert contract(expand(qset, children), children) == qset
+            union = 0
+            for i in range(q.n):
+                if qmask >> i & 1:
+                    union |= children[i].mask
+            assert expand(VertexSet(qmask), children) == VertexSet(union)
 
 
 class TestExpandGraph:
@@ -355,10 +359,10 @@ class TestEnumerationByMw:
         assert_mw_matches_oracle(h)
 
     def test_recognizers_run_once_per_candidate(self):
-        # a threshold graph (odd i joined to every earlier vertex) is a cograph
-        # about n/2 levels deep; filtering at every level would cost ~n^2/4 calls
+        # a threshold graph is a cograph about n levels deep; filtering at
+        # every level would cost ~n^2/4 calls
         n = 100
-        g = Graph.from_edges(n, [(i, j) for i in range(1, n, 2) for j in range(i)])
+        g = strategies.threshold(n)
         with mock.patch.object(
             modular, "_min_sep_mask", wraps=modular._min_sep_mask
         ) as sep_calls, mock.patch.object(
@@ -373,3 +377,32 @@ class TestEnumerationByMw:
         t = modular_decomposition(path(4))
         with pytest.raises(InputError):
             enumerate_by_mw(cycle(4), t)
+
+
+class TestTreeWalks:
+    def test_no_function_calls_itself(self):
+        # every modular-tree pass runs on modular._post_order's explicit stack;
+        # a self-call would bring back a Python frame per tree level
+        for module in (modular, solvers):
+            for fn in ast.walk(ast.parse(inspect.getsource(module))):
+                if isinstance(fn, ast.FunctionDef):
+                    called = {c.func.id for c in ast.walk(fn)
+                              if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+                    assert fn.name not in called, f"{module.__name__}.{fn.name}"
+
+    def test_deep_tree_passes_run_on_a_shallow_stack(self):
+        # threshold(300) nests 300 modules; with the limit just above the
+        # caller's depth, a pass that took a frame per level would raise
+        g = strategies.threshold(300)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            tree = modular_decomposition(g)
+            seps, catalog = enumerate_by_mw(g, tree)
+            rendered = tree_to_json(tree)
+            width = modular_width(tree)
+            tw = solvers._solve_tree(tree, "tw")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (len(seps), len(catalog), width, tw) == (149, 150, 0, 150)
+        assert rendered["modular_width"] == 0 and rendered["root"]["kind"] == "join"

@@ -9,7 +9,7 @@ PUBLIC = [
     "DEFAULT_ORACLE_CAP", "GrParseError", "Graph", "InputError", "ModuleNode", "ModuleTree",
     "PmcCatalog", "VertexSet", "active_pmcs_by_vc", "active_separators", "base_enumerate",
     "brute_force_fill_in", "brute_force_lists", "brute_force_treewidth", "canonical_sets",
-    "complete", "components", "contract", "cube", "cycle", "dp_blocks", "empty_graph",
+    "complete", "components", "cube", "cycle", "dp_blocks", "empty_graph",
     "enumerate_by_mw", "expand", "expand_graph", "full_components", "generate", "gnp",
     "induced_subgraph", "is_minimal_separator", "is_minimal_uv_separator", "is_pmc",
     "is_vertex_cover", "min_fill_in", "minimum_vertex_cover", "modular_decomposition",

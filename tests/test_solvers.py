@@ -203,11 +203,6 @@ class TestSolveValue:
         assert solve_value(g, "fillin", "mw") == 0
 
 
-def threshold(n: int) -> Graph:
-    """Odd i joined to every earlier vertex: a cograph nesting about n joins and unions."""
-    return Graph.from_edges(n, [(i, j) for i in range(1, n, 2) for j in range(i)])
-
-
 def complete_multipartite(parts) -> Graph:
     graph, _ = expand_graph(complete(len(parts)), [empty_graph(a) for a in parts])
     return graph
@@ -288,7 +283,7 @@ class TestTreeSolver:
             assert value - (0 if problem == "tw" else g.m) == solve_value(g, problem, "brute"), problem
 
     def test_deep_cograph_solves_fast(self):
-        g = threshold(300)
+        g = strategies.threshold(300)
         t0 = time.perf_counter()
         assert (solve_value(g, "tw", "mw"), solve_value(g, "fillin", "mw")) == (150, 0)
         assert time.perf_counter() - t0 < 1.0
