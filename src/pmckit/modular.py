@@ -4,12 +4,13 @@ The decomposition splits on connected components (union node) or
 co-components (join node); otherwise the node is prime, and its maximal
 proper strong modules come from vertex partition refinement (after Habib and
 Paul's survey of modular decomposition, 2010). Building the tree and every
-pass over it are one bottom-up walk on an explicit stack, for any depth.
-Enumeration combines child candidates with quotient-level results and passes
-every distinct candidate through the recognizers once, on the whole graph.
-Prime quotients are listed output-sensitively (the separator closure and the
-one-more-vertex PMC listing of the recognition module), their results
-expanded to the children's vertex sets; no step scans subsets.
+pass over it walk an explicit stack, for any depth. Enumeration takes each
+module M's own objects padded once with N(M): a leaf {v}, a union's empty
+separator, a join's V(M), and a prime quotient's objects expanded to M's
+children. Every distinct candidate passes the recognizers once, on the
+whole graph. Prime quotients are listed output-sensitively (the separator
+closure and the one-more-vertex PMC listing of the recognition module); no
+step scans subsets.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Sequence
 
 from .bitset import VertexSet, canonical_sets, iter_bits
 from .errors import InputError
-from .graph import Graph, _components_with_nbrs, _graph_from_adj, _nbr_mask
+from .graph import Graph, _components_with_nbrs, _graph_from_adj
 from .recognition import PmcCatalog, _min_sep_mask, _pmc_listing, _separator_closure
 
 
@@ -227,51 +228,44 @@ def base_enumerate(quotient: Graph,
 def _node_candidates(g: Graph, node: ModuleNode, what: str) -> tuple[set[int], set[int]]:
     """Separator and PMC candidates of the subgraph on the node's vertices.
 
-    They contain every minimal separator and PMC of that subgraph: each is an
-    expansion of a quotient object or a child's object padded with the child's
-    outside neighborhood. Padding is monotone, so unfiltered child candidates
-    keep that property; the caller filters once, on g. A prime quotient lists
-    only ``what`` the caller asks for, so the other set may miss objects.
+    Each minimal separator and PMC of that subgraph is some node X's own
+    object padded once with N(X) within the node: a leaf's {v}, a union's
+    empty separator, a join's V(X), or an expanded object of a prime
+    quotient, which lists only ``what`` is asked for. N(X) is read at X's
+    lowest vertex, as X is a module; for X inside a module P, N(X) - P is
+    N(P), so no ancestor pads again. The caller filters once, on g.
     """
-
-    def join(node: ModuleNode, kids: list) -> tuple[set[int], set[int]]:
-        if node.kind == "leaf":
-            return set(), {node.vertices.mask}
-        space = node.vertices.mask
-        sep_cands: set[int] = set()
-        pmc_cands: set[int] = set()
-        if node.kind == "union":
-            # The edgeless quotient contributes only the empty separator; its PMC
-            # expansions are clique children that the child catalogs already hold.
-            sep_cands.add(0)
-        elif node.kind == "join":
-            # A complete quotient has no separators and one PMC: everything.
-            pmc_cands.add(space)
+    space = node.vertices.mask
+    sep_cands: set[int] = set()
+    pmc_cands: set[int] = set()
+    stack = [node]
+    while stack:
+        x = stack.pop()
+        mask = x.vertices.mask
+        nh = g.adj[(mask & -mask).bit_length() - 1] & ~mask & space
+        if x.kind in ("leaf", "join"):
+            pmc_cands.add(mask | nh)
+        elif x.kind == "union":
+            sep_cands.add(nh)
         else:
-            q_seps, q_pmcs = base_enumerate(node.quotient, what)
-            child_sets = [c.vertices for c in node.children]
-            sep_cands.update(expand(s, child_sets).mask for s in q_seps or ())
-            pmc_cands.update(expand(o, child_sets).mask for o in q_pmcs or ())
-        for child, (child_seps, child_pmcs) in zip(node.children, kids):
-            nh = _nbr_mask(g.adj, child.vertices.mask) & space
-            sep_cands.update(s | nh for s in child_seps)
-            pmc_cands.update(o | nh for o in child_pmcs)
-        return sep_cands, pmc_cands
-
-    return _post_order(node, _node_parts, join)
+            q_seps, q_pmcs = base_enumerate(x.quotient, what)
+            child_sets = [c.vertices for c in x.children]
+            sep_cands.update(expand(s, child_sets).mask | nh for s in q_seps or ())
+            pmc_cands.update(expand(o, child_sets).mask | nh for o in q_pmcs or ())
+        stack += x.children
+    return sep_cands, pmc_cands
 
 
 def enumerate_by_mw(g: Graph, tree: ModuleTree | None = None,
                     what: str = "both") -> tuple[list[VertexSet] | None, PmcCatalog | None]:
     """Minimal separators and PMC catalog of g via its modular decomposition.
 
-    The tree yields candidates: at each node, expansions of quotient-level
-    results plus each child's candidates padded with the child's outside
-    neighborhood. Each distinct candidate is checked once, on g, so the final
-    lists are exactly the separators and PMCs of g. ``what`` is "seps",
-    "pmcs" or "both"; the list not asked for is not filtered and comes back
-    None. The catalog keeps the components of g - Omega its filter found,
-    which the solvers' block DP reads.
+    The candidates are each module M's own objects padded once with N(M)
+    (see _node_candidates). Each distinct candidate is checked once, on g,
+    so the final lists are exactly the separators and PMCs of g. ``what`` is
+    "seps", "pmcs" or "both"; the list not asked for is not filtered and
+    comes back None. The catalog keeps the components of g - Omega its
+    filter found, which the solvers' block DP reads.
     """
     if tree is None:
         tree = modular_decomposition(g)

@@ -130,12 +130,24 @@ def is_minimal_separator(g: Graph, s: VertexSet) -> bool:
     return _min_sep_mask(g.adj, s.mask, g.full_mask)
 
 
-def is_pmc(g: Graph, omega: VertexSet) -> bool:
-    """True iff ``omega`` is a potential maximal clique of g."""
+def _omega_pieces(g: Graph, omega: VertexSet, must_be_pmc: bool):
+    """The pieces of ``omega`` on the whole of g (see _pmc_pieces), after the argument checks.
+
+    An empty or out-of-range omega raises InputError. A non-PMC gives None,
+    or raises ContractViolation when ``must_be_pmc``.
+    """
     if not omega:
         raise InputError("omega must be nonempty")
     _validate_subset(g, omega)
-    return _pmc_pieces(g.adj, omega.mask, g.full_mask) is not None
+    pieces = _pmc_pieces(g.adj, omega.mask, g.full_mask)
+    if pieces is None and must_be_pmc:
+        raise ContractViolation(f"{omega!r} is not a potential maximal clique")
+    return pieces
+
+
+def is_pmc(g: Graph, omega: VertexSet) -> bool:
+    """True iff ``omega`` is a potential maximal clique of g."""
+    return _omega_pieces(g, omega, must_be_pmc=False) is not None
 
 
 def is_minimal_uv_separator(g: Graph, s: VertexSet, u: int, v: int) -> bool:
@@ -156,13 +168,7 @@ def is_minimal_uv_separator(g: Graph, s: VertexSet, u: int, v: int) -> bool:
 
 def pmc_separators(g: Graph, omega: VertexSet) -> list[VertexSet]:
     """The minimal separators contained in the PMC ``omega`` (the component neighborhoods)."""
-    if not omega:
-        raise InputError("omega must be nonempty")
-    _validate_subset(g, omega)
-    pieces = _pmc_pieces(g.adj, omega.mask, g.full_mask)
-    if pieces is None:
-        raise ContractViolation(f"{omega!r} is not a potential maximal clique")
-    return canonical_sets(s for s, _ in pieces)
+    return canonical_sets(s for s, _ in _omega_pieces(g, omega, must_be_pmc=True))
 
 
 @dataclass(frozen=True)
@@ -190,15 +196,8 @@ def active_separators(g: Graph, omega: VertexSet) -> list[ActivePairWitness]:
     Separators with no leftover non-adjacent pair are omitted. The component
     recorded is the one of g - S containing omega - S.
     """
-    if not omega:
-        raise InputError("omega must be nonempty")
-    _validate_subset(g, omega)
-    adj = g.adj
-    full = g.full_mask
-    pieces = _pmc_pieces(adj, omega.mask, full)
-    if pieces is None:
-        raise ContractViolation(f"{omega!r} is not a potential maximal clique")
-    sep_masks = {s for s, _ in pieces}
+    sep_masks = {s for s, _ in _omega_pieces(g, omega, must_be_pmc=True)}
+    adj, full = g.adj, g.full_mask
     om_bits = bit_list(omega.mask)
     witnesses = []
     for s1 in sorted(sep_masks, key=bit_list):

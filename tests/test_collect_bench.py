@@ -63,9 +63,28 @@ def test_pair_summary_counts_wins_in_each_direction():
     second = {"w": [run(1, 12.0, 31.0), run(2, 9.0, 27.0), run(3, 10.0, 33.0),
                     run(4, 99.0, 1.0, correct=False)]}
     assert collect_bench.pair_summary(END_TO_END, first, second) == [
-        "w ops_per_s: median ratio 1.000, second better on 1/3 seeds",
-        "w peak_rss_mib: median ratio 1.033, second better on 1/3 seeds",
+        "w ops_per_s: median ratio 1.000, second better on 1/3 seeds, "
+        "first's q1-q3 10-10, median difference +0 (unresolved)",
+        "w peak_rss_mib: median ratio 1.033, second better on 1/3 seeds, "
+        "first's q1-q3 30-30, median difference +1",
     ]
+
+
+def test_pair_summary_marks_a_difference_inside_the_first_spread_unresolved():
+    # the first side's ops_per_s has q1 12 and q3 16: a median difference of
+    # +3 stays inside that spread, +5 leaves it; rss differs by exactly q3 - q1
+    first = {"w": [run(s, 10.0 + 2 * s, 30.0 + (s > 2)) for s in range(5)]}
+    inside = {"w": [run(s, 13.0 + 2 * s, 31.0) for s in range(5)]}
+    outside = {"w": [run(s, 15.0 + 2 * s, 29.0) for s in range(5)]}
+    assert collect_bench.pair_summary(END_TO_END, first, inside) == [
+        "w ops_per_s: median ratio 1.214, second better on 5/5 seeds, "
+        "first's q1-q3 12-16, median difference +3 (unresolved)",
+        "w peak_rss_mib: median ratio 1.033, second better on 0/5 seeds, "
+        "first's q1-q3 30-31, median difference +1 (unresolved)",
+    ]
+    assert collect_bench.pair_summary(END_TO_END, first, outside)[0] == (
+        "w ops_per_s: median ratio 1.357, second better on 5/5 seeds, "
+        "first's q1-q3 12-16, median difference +5")
 
 
 def test_two_checkouts_print_the_pair_summary(tmp_path, monkeypatch, capsys):

@@ -10,6 +10,7 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strategies
 from pmckit import (
@@ -27,10 +28,11 @@ from pmckit import (
     gnp,
     modular_decomposition,
     modular_width,
+    neighborhood,
     path,
     tree_to_json,
 )
-from pmckit import modular, recognition, solvers
+from pmckit import graph, modular, recognition, solvers
 from pmckit.bitset import iter_bits
 from pmckit.graph import Graph
 
@@ -119,6 +121,32 @@ def nested_composition(rng: random.Random, depth: int) -> Graph:
     return expand_graph(quotient, [nested_composition(rng, depth - 1) for _ in range(quotient.n)])[0]
 
 
+def tree_nodes(node) -> list:
+    out = [node]
+    for child in node.children:
+        out += tree_nodes(child)
+    return out
+
+
+def padded_per_level(g: Graph, node, what: str) -> tuple[set[int], set[int]]:
+    """Reference candidates: each level pads its children's candidates again with the child's N(X)."""
+    if node.kind == "leaf":
+        return set(), {node.vertices.mask}
+    space = node.vertices.mask
+    seps, pmcs = {"union": ({0}, set()), "join": (set(), {space})}.get(node.kind, (set(), set()))
+    if node.kind == "prime":
+        q_seps, q_pmcs = base_enumerate(node.quotient, what)
+        child_sets = [c.vertices for c in node.children]
+        seps |= {expand(s, child_sets).mask for s in q_seps or ()}
+        pmcs |= {expand(o, child_sets).mask for o in q_pmcs or ()}
+    for child in node.children:
+        child_seps, child_pmcs = padded_per_level(g, child, what)
+        nh = neighborhood(g, child.vertices).mask & space
+        seps |= {s | nh for s in child_seps}
+        pmcs |= {o | nh for o in child_pmcs}
+    return seps, pmcs
+
+
 def rebuilt_edges(node) -> set[tuple[int, int]]:
     if node.kind == "leaf":
         return set()
@@ -190,6 +218,14 @@ class TestDecomposition:
         t = modular_decomposition(g)
         check_tree_invariants(g, t.root)
         assert rebuilt_edges(t.root) == set(g.edges())
+
+    @PROPERTY
+    @given(st.one_of(strategies.graphs(max_n=9), strategies.module_graphs()))
+    def test_every_node_is_a_module(self, g):
+        # the mw candidates read N(X) at X's lowest vertex
+        for node in tree_nodes(modular_decomposition(g).root):
+            x = node.vertices.mask
+            assert {g.adj[v] & ~x for v in iter_bits(x)} == {neighborhood(g, node.vertices).mask}
 
     def test_json_rendering(self):
         t = modular_decomposition(path(4))
@@ -351,8 +387,8 @@ class TestEnumerationByMw:
     @pytest.mark.parametrize("depth", [1, 2], ids=["path4", "nested"])
     def test_deep_tree_with_modules(self, depth):
         # prime quotients expanded by non-trivial modules, then checked exactly;
-        # the inner prime node of the nested graph passes an invalid PMC
-        # candidate up, which only the filter at the root drops
+        # the inner prime node of the nested graph yields an invalid PMC
+        # candidate, which only the filter on the whole graph drops
         h, _ = expand_graph(path(4), [complete(2), path(3), empty_graph(2), complete(1)])
         if depth == 2:
             h, _ = expand_graph(path(4), [h, complete(2), empty_graph(3), complete(1)])
@@ -373,6 +409,21 @@ class TestEnumerationByMw:
         assert sep_calls.call_count <= 2 * n
         assert pmc_calls.call_count <= 2 * n
 
+    @pytest.mark.parametrize("what", ["seps", "pmcs", "both"])
+    def test_candidates_match_per_level_padding(self, what, mw_solve_quotients):
+        # each node's own objects padded once with N(X) are the candidates
+        # that padding again at every level gathers
+        graphs = [expand_graph(path(4), mw_solve_quotients[:4])[0],
+                  expand_graph(cycle(5), [mw_solve_quotients[4], complete(2), path(3),
+                                          mw_solve_quotients[5], empty_graph(2)])[0],
+                  strategies.threshold(60)]
+        rng = random.Random(3)
+        graphs += [nested_composition(rng, depth) for depth in (1, 2, 2, 3, 3)]
+        graphs += [gnp(12, p, seed) for p in (0.2, 0.35, 0.6) for seed in range(2)]
+        for g in graphs:
+            for node in tree_nodes(modular_decomposition(g).root):
+                assert modular._node_candidates(g, node, what) == padded_per_level(g, node, what)
+
     def test_tree_for_wrong_graph_rejected(self):
         t = modular_decomposition(path(4))
         with pytest.raises(InputError):
@@ -381,9 +432,9 @@ class TestEnumerationByMw:
 
 class TestTreeWalks:
     def test_no_function_calls_itself(self):
-        # every modular-tree pass runs on modular._post_order's explicit stack;
-        # a self-call would bring back a Python frame per tree level
-        for module in (modular, solvers):
+        # every modular-tree pass and the listings run on explicit stacks;
+        # a self-call would bring back a Python frame per tree level or search step
+        for module in (modular, solvers, recognition, graph):
             for fn in ast.walk(ast.parse(inspect.getsource(module))):
                 if isinstance(fn, ast.FunctionDef):
                     called = {c.func.id for c in ast.walk(fn)

@@ -302,6 +302,19 @@ class TestPmcCatalog:
         assert first == enumerate_by_mw(g)[1]
 
 
+@pytest.mark.parametrize("fn", [is_pmc, pmc_separators, active_separators])
+def test_omega_argument_errors(fn, cube_graph):
+    with pytest.raises(InputError, match="omega must be nonempty"):
+        fn(cube_graph, VertexSet())
+    with pytest.raises(InputError, match="out-of-range"):
+        fn(cube_graph, vs(0, 8))
+    if fn is is_pmc:
+        assert not is_pmc(cube_graph, cube_set("ab"))
+    else:
+        with pytest.raises(ContractViolation, match="is not a potential maximal clique"):
+            fn(cube_graph, cube_set("ab"))
+
+
 class TestOracles:
     def test_path_fixtures(self):
         seps, catalog = brute_force_lists(path(3))

@@ -15,8 +15,11 @@ the number of runs that were not correct, and each run's seed, `correct`,
 `attempted`, `failed` and metric values, plus the SHA, the Python version and the --note string. Runs taken in one
 invocation are pairs that can be compared seed by seed. With two checkouts,
 a pair summary goes to stderr: for each workload and end-to-end metric, the
-median per-seed ratio, second checkout over first, and the number of seeds
-where the second is better, in the direction BENCHMARK.json gives.
+median per-seed ratio, second checkout over first, the number of seeds
+where the second is better, in the direction BENCHMARK.json gives, the
+first checkout's q1-q3 and the difference of the medians. A difference no
+larger than q3 - q1 is marked unresolved: it cannot be told from the first
+checkout's own spread, so it does not count as a gain.
 """
 
 from __future__ import annotations
@@ -98,6 +101,9 @@ def pair_summary(end_to_end: list[dict], first: dict, second: dict) -> list[str]
     ``first`` and ``second`` map each workload to its runs. A seed pairs up
     when both its runs are correct; the second wins it when its value is
     better in the metric's ``better`` direction, and a tie counts for neither.
+    Each line also gives the first side's q1-q3 over the paired seeds and
+    the difference of the two medians, marked unresolved when it is no
+    larger than q3 - q1.
     """
     lines = []
     for workload in first:
@@ -110,8 +116,12 @@ def pair_summary(end_to_end: list[dict], first: dict, second: dict) -> list[str]
             if pairs:
                 wins = sum(sign * (y - x) > 0 for x, y in pairs)
                 ratio = statistics.median(y / x for x, y in pairs)
+                q1, median, q3 = quartiles([x for x, _ in pairs])
+                diff = statistics.median(y for _, y in pairs) - median
                 lines.append(f"{workload} {name}: median ratio {ratio:.3f}, "
-                             f"second better on {wins}/{len(pairs)} seeds")
+                             f"second better on {wins}/{len(pairs)} seeds, "
+                             f"first's q1-q3 {q1:.4g}-{q3:.4g}, median difference {diff:+.4g}"
+                             + (" (unresolved)" if abs(diff) <= q3 - q1 else ""))
     return lines
 
 
