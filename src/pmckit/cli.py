@@ -40,7 +40,7 @@ from .recognition import (
     brute_force_lists,
     is_minimal_uv_separator,
 )
-from .solvers import _solve_tree, min_fill_in, treewidth
+from .solvers import _catalog_value, _solve_tree
 from .vc import minimum_vertex_cover, pmcs_by_vc, separators_by_vc
 
 # Largest --jobs accepted; each job is one worker process.
@@ -135,18 +135,21 @@ def _route_basis(g: Graph, method: str, report: RunReport | None = None):
 
 
 def _route_lists(
-    g: Graph, method: str, jobs: int, basis, what: str = "both"
+    g: Graph, method: str, jobs: int, basis, what: str = "both",
+    seps: list[VertexSet] | None = None,
 ) -> tuple[list[VertexSet] | None, PmcCatalog | None]:
     """g's separators and PMC catalog by one route, for ``what`` "seps", "pmcs" or "both".
 
     A list not asked for comes back None, except from the subset scan,
-    which lists both.
+    which lists both. The vc route takes ``seps``, g's separators when
+    already listed, instead of sweeping for them again.
     """
     if method == "mw":
         return enumerate_by_mw(g, basis, what)
     if method == "brute":
         return brute_force_lists(g, cap=_env_oracle_cap(), jobs=jobs)
-    seps = separators_by_vc(g, basis) if what in ("seps", "both") else None
+    if seps is None and what in ("seps", "both"):
+        seps = separators_by_vc(g, basis)
     return seps, pmcs_by_vc(g, basis, separators=seps) if what in ("pmcs", "both") else None
 
 
@@ -168,8 +171,7 @@ def solve_value(g: Graph, problem: str, method: str, jobs: int = 1, report=None)
         if method == "mw":
             values.append(_solve_tree(basis, problem))
             continue
-        catalog = _route_lists(sub, method, jobs, basis, "pmcs")[1]
-        values.append(treewidth(sub, catalog) if problem == "tw" else min_fill_in(sub, catalog))
+        values.append(_catalog_value(sub, _route_lists(sub, method, jobs, basis, "pmcs")[1], problem))
     return max(values) if problem == "tw" else sum(values)
 
 
@@ -177,39 +179,50 @@ def solve_value(g: Graph, problem: str, method: str, jobs: int = 1, report=None)
 # Commands
 # ---------------------------------------------------------------------------
 
-def _cmd_enum(args) -> tuple[RunReport, int]:
+def _list_objects(args) -> tuple[RunReport, Graph, dict, dict[str, float]]:
+    """Resolve the graph and list the kinds ``args.what`` asks for by ``args.method``.
+
+    Returns the report with the graph and route parameter filled in, the
+    graph, the lists by kind ("separators" a list, "pmcs" a catalog), and
+    the milliseconds of each stage: the build, the route basis, then one
+    _route_lists call per listing stage. The vc route lists separators and
+    then PMCs, handing the separators on; mw and brute list in one stage.
+    """
+    timings: dict[str, float] = {}
+    t0 = time.perf_counter()
     source, g = _resolve_graph(args)
-    report = RunReport(command="enum", source=source, n=g.n, m=g.m)
+    timings["build"] = _ms_since(t0)
+    report = RunReport(command=args.command, source=source, n=g.n, m=g.m)
+    t0 = time.perf_counter()
     basis = _route_basis(g, args.method, report)
-    seps, catalog = _route_lists(g, args.method, args.jobs, basis, args.what)
-    if args.what == "seps":
-        report.results = {
-            "separators": [vs.to_list() for vs in seps],
-            "counts": {"separators": len(seps)},
-        }
-    else:
-        report.results = {
-            "pmcs": catalog.to_lists(),
-            "counts": {"pmcs": len(catalog)},
-        }
+    if args.method != "brute":
+        timings["vertex_cover" if args.method == "vc" else "decompose"] = _ms_since(t0)
+    asked = [(w, key) for w, key in (("seps", "separators"), ("pmcs", "pmcs"))
+             if args.what in (w, "both")]
+    seps = catalog = None
+    for what, key in asked if args.method == "vc" else [(args.what, "lists")]:
+        t0 = time.perf_counter()
+        seps, catalog = _route_lists(g, args.method, args.jobs, basis, what, seps)
+        timings[key] = _ms_since(t0)
+    found = {"separators": seps, "pmcs": catalog}
+    return report, g, {key: found[key] for _, key in asked}, timings
+
+
+def _cmd_enum(args) -> tuple[RunReport, int]:
+    report, _, lists, _ = _list_objects(args)
+    [(key, found)] = lists.items()
+    report.results = {key: [vs.to_list() for vs in found], "counts": {key: len(found)}}
     return report, 0
 
 
 def _cmd_count(args) -> tuple[RunReport, int]:
-    source, g = _resolve_graph(args)
-    report = RunReport(command="count", source=source, n=g.n, m=g.m)
-    basis = _route_basis(g, args.method, report)
-    seps, catalog = _route_lists(g, args.method, args.jobs, basis, args.what)
-    counts: dict = {}
-    if args.what in ("seps", "both"):
-        counts["separators"] = len(seps)
-        if args.family == "watermelon":
+    report, g, lists, _ = _list_objects(args)
+    counts = {}
+    for key, found in lists.items():
+        counts[key] = len(found)
+        if key == "separators" and args.family == "watermelon":
             u, v = watermelon_hubs(args.p, args.q)
-            counts["uv_separators"] = sum(
-                1 for s in seps if is_minimal_uv_separator(g, s, u, v)
-            )
-    if args.what in ("pmcs", "both"):
-        counts["pmcs"] = len(catalog)
+            counts["uv_separators"] = sum(1 for s in found if is_minimal_uv_separator(g, s, u, v))
     report.results = {"counts": counts}
     return report, 0
 
@@ -236,14 +249,15 @@ def _verify_targets(args) -> tuple[str, list[tuple[str, Graph]]]:
     return source, [(source, g)]
 
 
-def _mismatch_witnesses(sets: dict[str, set[int]], limit: int = 10) -> list[list[int]]:
+def _mismatch_witnesses(sets: dict[str, set[int]]) -> list[list[int]]:
+    """The first ten sets, by vertex list, that some but not every method reported."""
     union: set[int] = set()
     inter: set[int] | None = None
     for masks in sets.values():
         union |= masks
         inter = masks if inter is None else inter & masks
     disputed = union - (inter or set())
-    return [bit_list(m) for m in sorted(disputed, key=bit_list)[:limit]]
+    return [bit_list(m) for m in sorted(disputed, key=bit_list)[:10]]
 
 
 def _cmd_verify(args) -> tuple[RunReport, int]:
@@ -306,31 +320,8 @@ def _cmd_decompose(args) -> tuple[RunReport, int]:
 
 
 def _cmd_bench(args) -> tuple[RunReport, int]:
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    source, g = _resolve_graph(args)
-    timings["build"] = _ms_since(t0)
-    report = RunReport(command="bench", source=source, n=g.n, m=g.m)
-    t0 = time.perf_counter()
-    basis = _route_basis(g, args.method, report)
-    if args.method != "brute":
-        timings["vertex_cover" if args.method == "vc" else "decompose"] = _ms_since(t0)
-    # mw and brute list both at once, so they time one stage; vc sweeps twice
-    if args.method == "vc":
-        stages = [(w, key) for w, key in (("seps", "separators"), ("pmcs", "pmcs"))
-                  if args.what in (w, "both")]
-    else:
-        stages = [(args.what, "lists")]
-    counts: dict = {}
-    for what, key in stages:
-        t0 = time.perf_counter()
-        seps, catalog = _route_lists(g, args.method, args.jobs, basis, what)
-        timings[key] = _ms_since(t0)
-        if what != "pmcs":
-            counts["separators"] = len(seps)
-        if what != "seps":
-            counts["pmcs"] = len(catalog)
-    report.results = {"counts": counts}
+    report, _, lists, timings = _list_objects(args)
+    report.results = {"counts": {key: len(found) for key, found in lists.items()}}
     report.timings_ms = timings
     return report, 0
 

@@ -82,9 +82,9 @@ def _graph_from_adj(n: int, adj: list[int]) -> Graph:
     return Graph(n=n, adj=tuple(adj), m=m)
 
 
-def _validate_subset(g: Graph, s: VertexSet, what: str = "vertex set") -> None:
+def _validate_subset(g: Graph, s: VertexSet) -> None:
     if s.mask & ~g.full_mask:
-        raise InputError(f"{what} contains out-of-range vertex indices")
+        raise InputError("vertex set contains out-of-range vertex indices")
 
 
 def _nbr_mask(adj: tuple[int, ...], smask: int) -> int:

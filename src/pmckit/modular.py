@@ -190,27 +190,15 @@ def expand_graph(quotient: Graph, modules: Sequence[Graph]) -> tuple[Graph, list
     """
     if len(modules) != quotient.n:
         raise InputError("need exactly one module graph per quotient vertex")
-    offsets = []
-    total = 0
+    offsets = [0]
     for mod in modules:
-        offsets.append(total)
-        total += mod.n
-    child_sets = [
-        VertexSet(((1 << mod.n) - 1) << off) for mod, off in zip(modules, offsets)
-    ]
-    adj = [0] * total
-    for mod, off in zip(modules, offsets):
-        for v in range(mod.n):
-            adj[off + v] |= mod.adj[v] << off
-    for i in range(quotient.n):
-        for j in iter_bits(quotient.adj[i]):
-            if j < i:
-                continue
-            for v in iter_bits(child_sets[i].mask):
-                adj[v] |= child_sets[j].mask
-            for v in iter_bits(child_sets[j].mask):
-                adj[v] |= child_sets[i].mask
-    return _graph_from_adj(total, adj), child_sets
+        offsets.append(offsets[-1] + mod.n)
+    child_sets = [VertexSet(((1 << mod.n) - 1) << off) for mod, off in zip(modules, offsets)]
+    adj = []
+    for i, (mod, off) in enumerate(zip(modules, offsets)):
+        joined = expand(VertexSet(quotient.adj[i]), child_sets).mask
+        adj.extend(row << off | joined for row in mod.adj)
+    return _graph_from_adj(offsets[-1], adj), child_sets
 
 
 def base_enumerate(quotient: Graph,

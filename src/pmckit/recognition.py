@@ -113,6 +113,8 @@ def _pairs_covered(adj: tuple[int, ...], om: int, seps: list[int]) -> bool:
             return False
     for u in iter_bits(om):
         cov = adj[u] | (1 << u)
+        if not om & ~cov:
+            continue
         for s in seps:
             if (s >> u) & 1:
                 cov |= s

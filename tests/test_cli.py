@@ -411,6 +411,19 @@ class TestDeterminism:
             # union, join and prime nodes, a prime node with a non-leaf child, depth 5
             (["decompose", "--family", "gnp", "--n", "11", "--prob", "0.3", "--seed", "3"],
              "0b70009ae5aa0a2b4df7ea3637be1baf99f3a79ba630ff258746a749a18c0df2"),
+            (["count", "--what", "both", "--family", "cube", "--method", "vc"],
+             "026eb5ba615ee7d6eff15a9f7fc1791cbfb5bfa3e862418124b1142d4e8eaf6d"),
+            (["count", "--what", "both", "--family", "cube", "--method", "mw"],
+             "d5c61b967b76af6f0c2587e2f95a99ce0485db9a2f8289a20a65391f50b9edbc"),
+            (["count", "--what", "both", "--family", "cube", "--method", "brute"],
+             "9bfa6ae10e5f5a8515e9013909e30ac819398b425147c3c09a3574841bd77bf7"),
+            # reports uv_separators between the two hubs
+            (["count", "--family", "watermelon", "--p", "4", "--q", "3", "--method", "vc"],
+             "33f76a01abea15cbd71bb08122416dadb5c2fc533189fdfe6eb2a76890cab1b9"),
+            (["count", "--family", "cube", "--pretty"],
+             "306f066412311f848bbc6e28a8f87796a133dc2f7cbda5fa4da2b904a6c25943"),
+            (["enum", "pmcs", "--family", "cube", "--pretty"],
+             "8f92537bc6c26ed5606aae8dcea0ad115fdd542a7d9d15a3e11a7da06d3fde1f"),
         ],
     )
     def test_golden_output(self, capsys, argv, digest):
@@ -425,6 +438,18 @@ class TestDeterminism:
         first.pop("timings_ms")
         second.pop("timings_ms")
         assert first == second
+
+    # complete(5) has no separator, so an empty list must still be counted
+    @pytest.mark.parametrize("command", ["count", "bench"])
+    @pytest.mark.parametrize("method", ["vc", "mw", "brute"])
+    @pytest.mark.parametrize("family, counts", [
+        (["--family", "complete", "--n", "5"], {"separators": 0, "pmcs": 1}),
+        (["--family", "empty", "--n", "3"], {"separators": 1, "pmcs": 3}),
+    ], ids=["complete5", "empty3"])
+    def test_both_counts_with_no_or_one_separator(self, capsys, command, method, family, counts):
+        code, blob = run_json(capsys, [command, "--what", "both", *family, "--method", method])
+        assert code == 0
+        assert blob["results"] == {"counts": counts}
 
 
 class TestVerifyMismatch:
@@ -514,6 +539,7 @@ class TestWorkDoneOnce:
     @pytest.mark.parametrize("argv, graphs", [
         (["count", "--what", "both", "--family", "cube", "--method", "vc"], 1),
         (["verify", "--family", "gnp", "--n", "8", "--prob", "0.4", "--seeds", "2"], 2),
+        (["bench", "--what", "both", "--family", "cube", "--method", "vc"], 1),
     ])
     def test_one_separator_sweep_per_graph(self, capsys, monkeypatch, argv, graphs):
         calls = count_calls(monkeypatch, "_sep_masks_by_vc", [pmckit.vc])

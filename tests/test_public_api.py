@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pmckit
+from pmckit.cli import build_parser
 
 PUBLIC = [
     "ActivePairWitness", "Block", "CUBE_INDEX", "CapExceeded", "ContractViolation",
@@ -27,3 +30,26 @@ def test_all_is_the_pinned_list():
 def test_every_public_name_resolves():
     for name in PUBLIC:
         assert hasattr(pmckit, name), name
+
+
+INPUT = ["--input", "--family", "--p", "--q", "--n", "--prob", "--seed"]
+RUN = ["--method", "--jobs", "--pretty"]
+
+# each subcommand's option strings (-h and --help as one entry) and positionals, in order
+PARSER = {
+    "enum": ["-h --help", "what", *INPUT, *RUN],
+    "count": ["-h --help", "--what", *INPUT, *RUN],
+    "verify": ["-h --help", *INPUT, "--seeds", "--jobs", "--pretty"],
+    "solve": ["-h --help", "problem", *INPUT, *RUN],
+    "decompose": ["-h --help", *INPUT, "--pretty"],
+    "gen": ["-h --help", *INPUT],
+    "bench": ["-h --help", "--what", *INPUT, *RUN],
+}
+
+
+def test_parser_surface_is_pinned():
+    parser = build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {name: [" ".join(a.option_strings) or a.dest for a in p._actions]
+           for name, p in sub.choices.items()}
+    assert got == PARSER

@@ -49,6 +49,7 @@ from pmckit.graph import Graph, _components_with_nbrs
 from pmckit.recognition import (
     _min_sep_mask,
     _oracle_chunk,
+    _pairs_covered,
     _pmc_listing,
     _prefix_separators,
     _separator_closure,
@@ -249,6 +250,20 @@ class TestActiveSeparators:
 def search_pieces(g, om):
     """(N(C), C) for each component C of g - om, searched afresh."""
     return tuple((nb, comp) for comp, nb in _components_with_nbrs(g.adj, g.full_mask & ~om))
+
+
+class TestPairsCovered:
+    @PROPERTY
+    @given(strategies.graph_with_subset(max_n=8), st.data())
+    def test_matches_its_definition(self, g_om, data):
+        g, om = g_om
+        drawn = [s & om.mask for s in data.draw(st.lists(st.integers(0, g.full_mask), max_size=6))]
+        # the PMC recognizer passes the neighbourhoods of the components of g - om
+        pieces = [nb for _, nb in _components_with_nbrs(g.adj, g.full_mask & ~om.mask)]
+        for seps in (drawn, pieces, drawn + pieces):
+            want = all(g.adj[x] >> y & 1 or any(s >> x & s >> y & 1 for s in seps)
+                       for x in om for y in om if x < y)
+            assert _pairs_covered(g.adj, om.mask, seps) == want
 
 
 class TestPmcCatalog:
