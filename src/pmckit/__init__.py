@@ -7,20 +7,17 @@ catalog computes treewidth and minimum fill-in exactly.
 """
 
 from .bitset import VertexSet, canonical_sets
-from .errors import CapExceeded, ContractViolation, GrParseError, InputError
+from .errors import CapExceeded, GrParseError, InputError
 from .graph import (
-    CUBE_INDEX,
     Graph,
     complete,
     components,
     cube,
     cycle,
     empty_graph,
-    full_components,
     generate,
     gnp,
     induced_subgraph,
-    neighborhood,
     parse_gr,
     path,
     prefix_graph,
@@ -42,14 +39,11 @@ from .modular import (
 )
 from .recognition import (
     DEFAULT_ORACLE_CAP,
-    ActivePairWitness,
     PmcCatalog,
-    active_separators,
     brute_force_lists,
     is_minimal_separator,
     is_minimal_uv_separator,
     is_pmc,
-    pmc_separators,
 )
 from .solvers import (
     Block,
@@ -68,11 +62,8 @@ from .vc import (
 )
 
 __all__ = [
-    "ActivePairWitness",
     "Block",
-    "CUBE_INDEX",
     "CapExceeded",
-    "ContractViolation",
     "DEFAULT_ORACLE_CAP",
     "Graph",
     "GrParseError",
@@ -82,7 +73,6 @@ __all__ = [
     "PmcCatalog",
     "VertexSet",
     "active_pmcs_by_vc",
-    "active_separators",
     "base_enumerate",
     "brute_force_fill_in",
     "brute_force_lists",
@@ -97,7 +87,6 @@ __all__ = [
     "enumerate_by_mw",
     "expand",
     "expand_graph",
-    "full_components",
     "generate",
     "gnp",
     "induced_subgraph",
@@ -109,10 +98,8 @@ __all__ = [
     "minimum_vertex_cover",
     "modular_decomposition",
     "modular_width",
-    "neighborhood",
     "parse_gr",
     "path",
-    "pmc_separators",
     "pmcs_by_vc",
     "prefix_graph",
     "read_gr",

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 from .bitset import VertexSet, bit_list
-from .errors import CapExceeded, ContractViolation, InputError
+from .errors import CapExceeded, InputError
 from .graph import (
     Graph,
     _FAMILIES,
@@ -458,7 +458,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
         return code
-    except (InputError, CapExceeded, ContractViolation, OSError) as exc:
+    except (InputError, CapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -19,7 +19,3 @@ class GrParseError(InputError):
 
 class CapExceeded(RuntimeError):
     """An exhaustive routine was asked to run above its configured size cap."""
-
-
-class ContractViolation(RuntimeError):
-    """A precondition that callers must establish (e.g. 'omega is a PMC') failed."""

@@ -10,9 +10,6 @@ from typing import Iterable, Iterator
 from .bitset import VertexSet, iter_bits
 from .errors import GrParseError, InputError
 
-# Vertex labels used by the cube generator: two stacked 4-cycles plus rungs.
-CUBE_INDEX = {"a": 0, "b": 1, "c": 2, "d": 3, "e": 4, "f": 5, "g": 6, "h": 7}
-
 # Largest vertex count accepted from a .gr header or a generator parameter,
 # checked before anything of that size is allocated or looped over.
 MAX_VERTICES = 4096
@@ -52,10 +49,6 @@ class Graph:
     def vertices(self) -> VertexSet:
         return VertexSet(self.full_mask)
 
-    def neighbors(self, v: int) -> VertexSet:
-        self._check_vertex(v)
-        return VertexSet(self.adj[v])
-
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return self.adj[v].bit_count()
@@ -85,14 +78,6 @@ def _graph_from_adj(n: int, adj: list[int]) -> Graph:
 def _validate_subset(g: Graph, s: VertexSet) -> None:
     if s.mask & ~g.full_mask:
         raise InputError("vertex set contains out-of-range vertex indices")
-
-
-def _nbr_mask(adj: tuple[int, ...], smask: int) -> int:
-    """Union of neighborhoods of the vertices in ``smask``, minus ``smask``."""
-    acc = 0
-    for v in iter_bits(smask):
-        acc |= adj[v]
-    return acc & ~smask
 
 
 def _grow(adj: tuple[int, ...], seed: int, space: int) -> tuple[int, int]:
@@ -168,24 +153,11 @@ def _component_table(adj: tuple[int, ...], n: int) -> tuple[array, array]:
     return first, nbr
 
 
-def neighborhood(g: Graph, s: VertexSet) -> VertexSet:
-    """N(s): union of the members' neighborhoods, minus s itself."""
-    _validate_subset(g, s)
-    return VertexSet(_nbr_mask(g.adj, s.mask))
-
-
 def components(g: Graph, removed: VertexSet) -> list[VertexSet]:
     """Connected components of g - removed, ordered by minimum vertex."""
     _validate_subset(g, removed)
     space = g.full_mask & ~removed.mask
     return [VertexSet(c) for c, _ in _components_with_nbrs(g.adj, space)]
-
-
-def full_components(g: Graph, s: VertexSet) -> list[VertexSet]:
-    """Components C of g - s whose neighborhood is exactly s."""
-    _validate_subset(g, s)
-    space = g.full_mask & ~s.mask
-    return [VertexSet(comp) for comp, nb in _components_with_nbrs(g.adj, space) if nb == s.mask]
 
 
 def induced_subgraph(g: Graph, keep: VertexSet) -> tuple[Graph, list[int]]:
@@ -363,8 +335,14 @@ def parse_gr(text: str) -> Graph:
 
 
 def read_gr(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_gr(fh.read())
+    """Parse the .gr file at ``path``: UTF-8 text, with or without a byte-order mark."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise GrParseError("not UTF-8 text", data.count(b"\n", 0, exc.start) + 1) from None
+    return parse_gr(text)
 
 
 def write_gr(g: Graph) -> str:

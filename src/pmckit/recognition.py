@@ -21,8 +21,8 @@ from functools import partial
 from itertools import compress, islice
 from operator import eq
 
-from .bitset import VertexSet, bit_list, canonical_sets, iter_bits
-from .errors import CapExceeded, ContractViolation, InputError
+from .bitset import VertexSet, canonical_sets, iter_bits
+from .errors import CapExceeded, InputError
 from .graph import Graph, _component_table, _components_with_nbrs, _grow, _validate_subset
 
 # Subset oracles refuse graphs above this size unless told otherwise.
@@ -132,24 +132,12 @@ def is_minimal_separator(g: Graph, s: VertexSet) -> bool:
     return _min_sep_mask(g.adj, s.mask, g.full_mask)
 
 
-def _omega_pieces(g: Graph, omega: VertexSet, must_be_pmc: bool):
-    """The pieces of ``omega`` on the whole of g (see _pmc_pieces), after the argument checks.
-
-    An empty or out-of-range omega raises InputError. A non-PMC gives None,
-    or raises ContractViolation when ``must_be_pmc``.
-    """
+def is_pmc(g: Graph, omega: VertexSet) -> bool:
+    """True iff ``omega`` is a potential maximal clique of g."""
     if not omega:
         raise InputError("omega must be nonempty")
     _validate_subset(g, omega)
-    pieces = _pmc_pieces(g.adj, omega.mask, g.full_mask)
-    if pieces is None and must_be_pmc:
-        raise ContractViolation(f"{omega!r} is not a potential maximal clique")
-    return pieces
-
-
-def is_pmc(g: Graph, omega: VertexSet) -> bool:
-    """True iff ``omega`` is a potential maximal clique of g."""
-    return _omega_pieces(g, omega, must_be_pmc=False) is not None
+    return _pmc_pieces(g.adj, omega.mask, g.full_mask) is not None
 
 
 def is_minimal_uv_separator(g: Graph, s: VertexSet, u: int, v: int) -> bool:
@@ -166,62 +154,6 @@ def is_minimal_uv_separator(g: Graph, s: VertexSet, u: int, v: int) -> bool:
         return False
     cv, rv = _grow(g.adj, 1 << v, space)
     return ru & ~cu == rv & ~cv == s.mask
-
-
-def pmc_separators(g: Graph, omega: VertexSet) -> list[VertexSet]:
-    """The minimal separators contained in the PMC ``omega`` (the component neighborhoods)."""
-    return canonical_sets(s for s, _ in _omega_pieces(g, omega, must_be_pmc=True))
-
-
-@dataclass(frozen=True)
-class ActivePairWitness:
-    """A separator of a PMC that remains incomplete after the completion step.
-
-    For separator S of PMC omega, complete every other separator of omega not
-    contained in S into a clique; S is active when some pair inside omega is
-    still non-adjacent. ``pairs`` holds every such pair ascending (they all
-    lie inside S); ``pair`` is the lexicographically least one.
-    """
-
-    separator: VertexSet
-    pairs: tuple[tuple[int, int], ...]
-    component: VertexSet
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return self.pairs[0]
-
-
-def active_separators(g: Graph, omega: VertexSet) -> list[ActivePairWitness]:
-    """Witnesses for the active separators of the PMC ``omega``.
-
-    Separators with no leftover non-adjacent pair are omitted. The component
-    recorded is the one of g - S containing omega - S.
-    """
-    sep_masks = {s for s, _ in _omega_pieces(g, omega, must_be_pmc=True)}
-    adj, full = g.adj, g.full_mask
-    om_bits = bit_list(omega.mask)
-    witnesses = []
-    for s1 in sorted(sep_masks, key=bit_list):
-        adj_plus = list(adj)
-        for s2 in sep_masks:
-            if s2 & ~s1:  # not contained in s1: complete it
-                for v in iter_bits(s2):
-                    adj_plus[v] |= s2 & ~(1 << v)
-        pairs = []
-        for i, u in enumerate(om_bits):
-            for v in om_bits[i + 1:]:
-                if not (adj_plus[u] >> v) & 1:
-                    pairs.append((u, v))
-        if not pairs:
-            continue
-        for u, v in pairs:
-            assert (s1 >> u) & 1 and (s1 >> v) & 1, "active pair must lie inside its separator"
-        rest = omega.mask & ~s1
-        comp, _ = _grow(adj, rest & -rest, full & ~s1)
-        assert rest & ~comp == 0, "omega - S must sit inside a single component"
-        witnesses.append(ActivePairWitness(VertexSet(s1), tuple(pairs), VertexSet(comp)))
-    return witnesses
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,6 @@ from dataclasses import dataclass
 import pytest
 
 from pmckit import (
-    CUBE_INDEX,
-    VertexSet,
-    active_separators,
     brute_force_fill_in,
     brute_force_lists,
     brute_force_treewidth,
@@ -30,13 +27,13 @@ from pmckit import (
     is_minimal_uv_separator,
     minimum_vertex_cover,
     path,
-    pmc_separators,
     pmcs_by_vc,
     separators_by_vc,
     watermelon,
     watermelon_hubs,
 )
 from pmckit.cli import main, solve_value
+from reference import CUBE_INDEX, active_separators, cube_set, pmc_separators
 
 CORPUS_NS = (5, 6, 7, 8, 9, 10)
 CORPUS_PROBS = (0.2, 0.35, 0.5)
@@ -92,10 +89,6 @@ def corpus():
                 )
     elapsed = time.perf_counter() - t0
     return entries, elapsed
-
-
-def cube_set(letters: str) -> VertexSet:
-    return VertexSet.from_iterable(CUBE_INDEX[c] for c in letters)
 
 
 def test_criterion_1_watermelon_tightness():

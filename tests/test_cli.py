@@ -285,6 +285,20 @@ class TestInputGuards:
         code, out = run_cli(capsys, ["decompose", "--pretty", "--input", str(p)])
         assert code == 0 and "mw=0" in out
 
+    def test_non_utf8_input_exits_2_without_traceback(self, capsys, tmp_path):
+        p = tmp_path / "bad.gr"
+        p.write_bytes(b"p tw 2 1\n1 2\n\xff\n")
+        assert main(["count", "--input", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 3: not UTF-8 text\n"
+
+    def test_byte_order_mark_is_read(self, capsys, tmp_path):
+        p = tmp_path / "bom.gr"
+        p.write_bytes(b"\xef\xbb\xbf" + write_gr(path(3)).encode())
+        code, data = run_json(capsys, ["solve", "tw", "--input", str(p)])
+        assert code == 0
+        assert data["results"]["counts"] == {"treewidth": 1}
+
     def test_decompose_takes_no_jobs(self, capsys):
         assert main(["decompose", "--family", "cube", "--jobs", "2"]) == 2
         assert "--jobs" in capsys.readouterr().err

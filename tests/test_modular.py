@@ -28,13 +28,13 @@ from pmckit import (
     gnp,
     modular_decomposition,
     modular_width,
-    neighborhood,
     path,
     tree_to_json,
 )
 from pmckit import graph, modular, recognition, solvers
 from pmckit.bitset import iter_bits
 from pmckit.graph import Graph
+from reference import neighborhood
 
 PROPERTY = settings(max_examples=60, deadline=None)
 

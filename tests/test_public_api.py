@@ -3,20 +3,25 @@
 from __future__ import annotations
 
 import argparse
+import ast
+import re
+from pathlib import Path
 
 import pmckit
 from pmckit.cli import build_parser
 
+ROOT = Path(__file__).resolve().parent.parent
+
 PUBLIC = [
-    "ActivePairWitness", "Block", "CUBE_INDEX", "CapExceeded", "ContractViolation",
+    "Block", "CapExceeded",
     "DEFAULT_ORACLE_CAP", "GrParseError", "Graph", "InputError", "ModuleNode", "ModuleTree",
-    "PmcCatalog", "VertexSet", "active_pmcs_by_vc", "active_separators", "base_enumerate",
+    "PmcCatalog", "VertexSet", "active_pmcs_by_vc", "base_enumerate",
     "brute_force_fill_in", "brute_force_lists", "brute_force_treewidth", "canonical_sets",
     "complete", "components", "cube", "cycle", "dp_blocks", "empty_graph",
-    "enumerate_by_mw", "expand", "expand_graph", "full_components", "generate", "gnp",
+    "enumerate_by_mw", "expand", "expand_graph", "generate", "gnp",
     "induced_subgraph", "is_minimal_separator", "is_minimal_uv_separator", "is_pmc",
     "is_vertex_cover", "min_fill_in", "minimum_vertex_cover", "modular_decomposition",
-    "modular_width", "neighborhood", "parse_gr", "path", "pmc_separators", "pmcs_by_vc",
+    "modular_width", "parse_gr", "path", "pmcs_by_vc",
     "prefix_graph", "read_gr", "separators_by_vc", "tree_to_json", "treewidth", "watermelon",
     "watermelon_hubs", "write_gr",
 ]
@@ -30,6 +35,37 @@ def test_all_is_the_pinned_list():
 def test_every_public_name_resolves():
     for name in PUBLIC:
         assert hasattr(pmckit, name), name
+
+
+def _code_words(path: Path) -> set[str]:
+    """The names a module reads, and the words of its strings other than docstrings.
+
+    Strings count because bench/ looks some names up with getattr. Defining
+    or assigning a name is not a use of it, nor is a comment or a docstring.
+    """
+    tree = ast.parse(path.read_text())
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and node.body
+            and isinstance(node.body[0], ast.Expr)}
+    words = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            words.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            words.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
+            words.update(re.findall(r"\w+", node.value))
+    return words
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # the package, the benchmark, the tools or the README's code must use
+    # each exported name; one that only tests call belongs in tests/reference.py
+    src = [p for p in sorted((ROOT / "src" / "pmckit").glob("*.py")) if p.name != "__init__.py"]
+    code = [*src, *sorted((ROOT / "bench").glob("*.py")), *sorted((ROOT / "tools").glob("*.py"))]
+    readme = re.findall(r"```.*?```|`[^`]*`", (ROOT / "README.md").read_text(), re.S)
+    used = set().union(*map(_code_words, code), re.findall(r"\w+", " ".join(readme)))
+    assert sorted(set(pmckit.__all__) - used) == []
 
 
 INPUT = ["--input", "--family", "--p", "--q", "--n", "--prob", "--seed"]

@@ -36,6 +36,7 @@ import pmckit.solvers
 from pmckit.bitset import iter_bits
 from pmckit.cli import solve_value
 from pmckit.graph import Graph
+from reference import full_components
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -172,7 +173,7 @@ class TestDynamicProgram:
 
 class TestBlocks:
     def test_blocks_satisfy_invariants(self, quick_corpus):
-        from pmckit import components, dp_blocks, full_components, is_minimal_separator
+        from pmckit import components, dp_blocks, is_minimal_separator
 
         checked = 0
         for name, g in quick_corpus:

@@ -14,11 +14,9 @@ from pmckit import (
     InputError,
     VertexSet,
     active_pmcs_by_vc,
-    active_separators,
     brute_force_lists,
     complete,
     empty_graph,
-    full_components,
     gnp,
     is_vertex_cover,
     minimum_vertex_cover,
@@ -30,6 +28,7 @@ from pmckit import (
 )
 from pmckit.bitset import iter_bits
 from pmckit.vc import _pmc_walk, _sep_walk
+from reference import active_separators, full_components
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
