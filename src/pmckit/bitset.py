@@ -5,14 +5,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 
-def mask_of(indices: Iterable[int]) -> int:
-    """Build a bitmask from vertex indices."""
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
-
-
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in ascending order."""
     while mask:
@@ -28,11 +20,12 @@ def bit_list(mask: int) -> list[int]:
 class VertexSet:
     """Immutable set of vertex indices.
 
-    Stored as an integer bitmask, so membership, union, intersection and
-    difference are plain integer operations; sets over 128+ vertices simply
-    grow with Python's integers. The canonical form of a set is its ascending
-    list of indices; that list is what gets serialized and what defines the
-    deterministic ordering of every list of sets this package emits.
+    A wrapper around an integer bitmask, built with ``VertexSet(mask)``: the
+    routes work on masks and wrap only the sets they return. Membership is a
+    shift and a test, and sets over 128+ vertices simply grow with Python's
+    integers. The canonical form of a set is its ascending list of indices;
+    that list is what gets serialized and what defines the deterministic
+    ordering of every list of sets this package emits.
     """
 
     __slots__ = ("mask",)
@@ -42,39 +35,8 @@ class VertexSet:
             raise ValueError("bitmask must be non-negative")
         self.mask = mask
 
-    @classmethod
-    def of(cls, *indices: int) -> "VertexSet":
-        return cls(mask_of(indices))
-
-    @classmethod
-    def from_iterable(cls, indices: Iterable[int]) -> "VertexSet":
-        return cls(mask_of(indices))
-
     def to_list(self) -> list[int]:
         return bit_list(self.mask)
-
-    def to_tuple(self) -> tuple[int, ...]:
-        """Canonical sort key: the ascending tuple of member indices."""
-        return tuple(iter_bits(self.mask))
-
-    def union(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.mask | other.mask)
-
-    def intersection(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.mask & other.mask)
-
-    def difference(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.mask & ~other.mask)
-
-    __or__ = union
-    __and__ = intersection
-    __sub__ = difference
-
-    def issubset(self, other: "VertexSet") -> bool:
-        return self.mask & ~other.mask == 0
-
-    def isdisjoint(self, other: "VertexSet") -> bool:
-        return self.mask & other.mask == 0
 
     def __contains__(self, v: int) -> bool:
         return v >= 0 and (self.mask >> v) & 1 == 1

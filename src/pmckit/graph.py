@@ -13,6 +13,9 @@ from .errors import GrParseError, InputError
 # Largest vertex count accepted from a .gr header or a generator parameter,
 # checked before anything of that size is allocated or looped over.
 MAX_VERTICES = 4096
+# Largest .gr file read_gr accepts. The complete graph on MAX_VERTICES vertices,
+# written without comments or duplicate edges, takes 79,332,453 bytes.
+MAX_GR_BYTES = 256 << 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,18 +48,6 @@ class Graph:
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
-
-    def vertices(self) -> VertexSet:
-        return VertexSet(self.full_mask)
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.adj[v].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return (self.adj[u] >> v) & 1 == 1
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, ascending."""
@@ -336,8 +327,13 @@ def parse_gr(text: str) -> Graph:
 
 def read_gr(path: str) -> Graph:
     """Parse the .gr file at ``path``: UTF-8 text, with or without a byte-order mark."""
+    # read in chunks: one read of MAX_GR_BYTES + 1 would allocate that much for any file
+    data = bytearray()
     with open(path, "rb") as fh:
-        data = fh.read()
+        while len(data) <= MAX_GR_BYTES and (chunk := fh.read(1 << 16)):
+            data += chunk
+    if len(data) > MAX_GR_BYTES:
+        raise GrParseError(f"file is longer than the limit of {MAX_GR_BYTES} bytes")
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:

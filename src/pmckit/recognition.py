@@ -194,17 +194,11 @@ class PmcCatalog:
     def mask_set(self) -> frozenset[int]:
         return frozenset(vs.mask for vs in self.members)
 
-    def to_lists(self) -> list[list[int]]:
-        return [vs.to_list() for vs in self.members]
-
     def __len__(self) -> int:
         return len(self.members)
 
     def __iter__(self):
         return iter(self.members)
-
-    def __contains__(self, item: VertexSet) -> bool:
-        return any(vs == item for vs in self.members)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,13 @@ from pmckit.recognition import _pmc_pieces
 CUBE_INDEX = {"a": 0, "b": 1, "c": 2, "d": 3, "e": 4, "f": 5, "g": 6, "h": 7}
 
 
+def vset(*idx: int) -> VertexSet:
+    """The VertexSet of the given vertex indices."""
+    return VertexSet(sum({1 << i for i in idx}))
+
+
 def cube_set(letters: str) -> VertexSet:
-    return VertexSet.from_iterable(CUBE_INDEX[c] for c in letters)
+    return vset(*(CUBE_INDEX[c] for c in letters))
 
 
 def neighborhood(g: Graph, s: VertexSet) -> VertexSet:

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import pmckit.cli
+import pmckit.graph
 import pmckit.modular
 import pmckit.recognition
 import pmckit.solvers
@@ -299,6 +300,22 @@ class TestInputGuards:
         assert code == 0
         assert data["results"]["counts"] == {"treewidth": 1}
 
+    def test_input_over_the_byte_cap_exits_2_without_traceback(self, capsys, monkeypatch, tmp_path):
+        text = write_gr(path(3)).encode()
+        monkeypatch.setattr(pmckit.graph, "MAX_GR_BYTES", len(text) - 1)
+        p = tmp_path / "long.gr"
+        p.write_bytes(text)
+        assert main(["count", "--input", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: file is longer than the limit of {len(text) - 1} bytes\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero on this platform")
+    def test_endless_input_exits_2_without_traceback(self, capsys, monkeypatch):
+        monkeypatch.setattr(pmckit.graph, "MAX_GR_BYTES", 1 << 20)
+        assert main(["count", "--input", "/dev/zero"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err and err.count("\n") == 1
+
     def test_decompose_takes_no_jobs(self, capsys):
         assert main(["decompose", "--family", "cube", "--jobs", "2"]) == 2
         assert "--jobs" in capsys.readouterr().err
@@ -325,7 +342,7 @@ class TestInputGuards:
         g, catalog = gnp24_vc
         expected = {
             "tw": {"counts": {"treewidth": treewidth(g, catalog)}},
-            "pmcs": {"pmcs": catalog.to_lists()},
+            "pmcs": {"pmcs": [vs.to_list() for vs in catalog]},
             "fillin": {"counts": {"fill_in": min_fill_in(g, catalog)}},
         }[argv[1]]
         code, blob = run_json(

@@ -26,20 +26,16 @@ from pmckit import (
     write_gr,
 )
 from pmckit.graph import _component_table, _components_with_nbrs, _grow
-from reference import CUBE_INDEX, full_components, neighborhood
+from reference import CUBE_INDEX, full_components, neighborhood, vset
 
 PROPERTY = settings(max_examples=80, deadline=None)
-
-
-def vs(*idx):
-    return VertexSet.of(*idx)
 
 
 class TestConstruction:
     def test_from_edges_dedupes(self):
         g = Graph.from_edges(3, [(0, 1), (1, 0), (1, 2)])
         assert g.m == 2
-        assert g.has_edge(0, 1) and g.has_edge(1, 2) and not g.has_edge(0, 2)
+        assert g.adj == (0b010, 0b101, 0b010)
 
     def test_rejects_self_loop_and_out_of_range(self):
         with pytest.raises(InputError):
@@ -55,29 +51,29 @@ class TestConstruction:
 class TestQueries:
     def test_neighborhood_cube_corner(self, cube_graph):
         a = CUBE_INDEX["a"]
-        got = neighborhood(cube_graph, vs(a))
-        assert got == vs(CUBE_INDEX["b"], CUBE_INDEX["d"], CUBE_INDEX["e"])
+        got = neighborhood(cube_graph, vset(a))
+        assert got == vset(CUBE_INDEX["b"], CUBE_INDEX["d"], CUBE_INDEX["e"])
 
     def test_neighborhood_empty_set(self, cube_graph):
         assert neighborhood(cube_graph, VertexSet()) == VertexSet()
 
     def test_neighborhood_watermelon_hub(self):
         g = watermelon(2, 3)
-        assert neighborhood(g, vs(6)) == vs(0, 3)  # hub u sees both left ends
+        assert neighborhood(g, vset(6)) == vset(0, 3)  # hub u sees both left ends
 
     def test_components_cube_separator(self, cube_graph):
         # removing {a,e,g,c} splits the cube into {b,f} and {d,h}
-        got = components(cube_graph, vs(0, 4, 6, 2))
-        assert got == [vs(1, 5), vs(3, 7)]
+        got = components(cube_graph, vset(0, 4, 6, 2))
+        assert got == [vset(1, 5), vset(3, 7)]
 
     def test_components_trivial(self):
-        assert components(complete(4), VertexSet()) == [vs(0, 1, 2, 3)]
-        assert components(empty_graph(3), VertexSet()) == [vs(0), vs(1), vs(2)]
+        assert components(complete(4), VertexSet()) == [vset(0, 1, 2, 3)]
+        assert components(empty_graph(3), VertexSet()) == [vset(0), vset(1), vset(2)]
 
     def test_full_components(self, cube_graph):
-        assert full_components(cube_graph, vs(0, 4, 6, 2)) == [vs(1, 5), vs(3, 7)]
-        assert full_components(path(3), vs(1)) == [vs(0), vs(2)]
-        assert full_components(complete(4), vs(0, 1)) == [vs(2, 3)]
+        assert full_components(cube_graph, vset(0, 4, 6, 2)) == [vset(1, 5), vset(3, 7)]
+        assert full_components(path(3), vset(1)) == [vset(0), vset(2)]
+        assert full_components(complete(4), vset(0, 1)) == [vset(2, 3)]
 
     @PROPERTY
     @given(strategies.graph_with_subset())
@@ -111,7 +107,7 @@ class TestQueries:
 class TestGenerators:
     def test_cube_shape(self, cube_graph):
         assert (cube_graph.n, cube_graph.m) == (8, 12)
-        assert all(cube_graph.degree(v) == 3 for v in range(8))
+        assert all(a.bit_count() == 3 for a in cube_graph.adj)
 
     def test_watermelon_shape(self):
         g = watermelon(2, 3)
@@ -242,10 +238,10 @@ class TestComponentTable:
 
 class TestSubgraphs:
     def test_induced_subgraph_relabels(self, cube_graph):
-        sub, old = induced_subgraph(cube_graph, vs(1, 5, 3, 7))
+        sub, old = induced_subgraph(cube_graph, vset(1, 5, 3, 7))
         assert old == [1, 3, 5, 7]
         assert sub.n == 4 and sub.m == 2  # edges b-f and d-h survive
-        assert sub.has_edge(0, 2) and sub.has_edge(1, 3)
+        assert sub.adj == (0b0100, 0b1000, 0b0001, 0b0010)
 
     def test_induced_subgraph_on_every_vertex_is_the_graph(self, cube_graph):
         sub, old = induced_subgraph(cube_graph, VertexSet(cube_graph.full_mask))

@@ -55,13 +55,10 @@ from reference import (
     full_components,
     neighborhood,
     pmc_separators,
+    vset,
 )
 
 PROPERTY = settings(max_examples=80, deadline=None)
-
-
-def vs(*idx):
-    return VertexSet.of(*idx)
 
 
 def disjoint_union(*graphs: Graph) -> Graph:
@@ -163,7 +160,7 @@ class TestPmcRecognition:
 
     def test_clique_cases(self):
         g = complete(4)
-        assert is_pmc(g, g.vertices())
+        assert is_pmc(g, VertexSet(g.full_mask))
         for m in range(1, 1 << 4):
             if m != g.full_mask:
                 assert not is_pmc(g, VertexSet(m))
@@ -189,7 +186,7 @@ class TestPmcSeparators:
 
     def test_clique_has_no_separators(self):
         g = complete(4)
-        assert pmc_separators(g, g.vertices()) == []
+        assert pmc_separators(g, VertexSet(g.full_mask)) == []
 
     @pytest.mark.parametrize("seed", range(6))
     def test_members_are_minimal_separators_inside_one_full_component(self, seed):
@@ -222,7 +219,7 @@ class TestActiveSeparators:
 
     def test_clique_trivial(self):
         g = complete(4)
-        assert active_separators(g, g.vertices()) == []
+        assert active_separators(g, VertexSet(g.full_mask)) == []
 
     @pytest.mark.parametrize("seed", range(6))
     def test_witness_pairs_are_separated_inside_component(self, seed):
@@ -231,13 +228,13 @@ class TestActiveSeparators:
         g = gnp(8, 0.4, seed)
         for omega in brute_force_lists(g)[1]:
             for w in active_separators(g, omega):
-                rest = omega - w.separator
+                rest = VertexSet(omega.mask & ~w.separator.mask)
                 for x, y in w.pairs:
                     assert x in w.separator and y in w.separator
                     keep = VertexSet(w.component.mask | (1 << x) | (1 << y))
                     sub, old = induced_subgraph(g, keep)
                     relabel = {v: i for i, v in enumerate(old)}
-                    sub_rest = VertexSet.from_iterable(relabel[v] for v in rest)
+                    sub_rest = vset(*(relabel[v] for v in rest))
                     assert is_minimal_uv_separator(sub, sub_rest, relabel[x], relabel[y])
 
 
@@ -265,7 +262,7 @@ class TestPmcCatalog:
         good = cube_set("aegch").mask
         junk = cube_set("ab").mask
         catalog = PmcCatalog.collect(cube_graph, [junk, good, good, 0])
-        assert catalog.to_lists() == [[0, 2, 4, 6, 7]]
+        assert [vs.to_list() for vs in catalog] == [[0, 2, 4, 6, 7]]
         assert len(catalog) == 1
         assert cube_set("aegch") in catalog
         assert cube_set("ab") not in catalog
@@ -315,20 +312,20 @@ def test_omega_argument_errors(cube_graph):
     with pytest.raises(InputError, match="omega must be nonempty"):
         is_pmc(cube_graph, VertexSet())
     with pytest.raises(InputError, match="out-of-range"):
-        is_pmc(cube_graph, vs(0, 8))
+        is_pmc(cube_graph, vset(0, 8))
     assert not is_pmc(cube_graph, cube_set("ab"))
 
 
 class TestOracles:
     def test_path_fixtures(self):
         seps, catalog = brute_force_lists(path(3))
-        assert seps == [vs(1)]
-        assert catalog.to_lists() == [[0, 1], [1, 2]]
+        assert seps == [vset(1)]
+        assert [vs.to_list() for vs in catalog] == [[0, 1], [1, 2]]
 
     def test_complete_fixtures(self):
         seps, catalog = brute_force_lists(complete(4))
         assert seps == []
-        assert catalog.to_lists() == [[0, 1, 2, 3]]
+        assert [vs.to_list() for vs in catalog] == [[0, 1, 2, 3]]
 
     def test_cube_contains_worked_examples(self, cube_graph):
         seps, catalog = brute_force_lists(cube_graph)
@@ -391,7 +388,7 @@ class TestOracles:
         assert (VertexSet() in seps) == (not connected)
         assert VertexSet() not in catalog
         if g.n == 1:
-            assert seps == [] and catalog.to_lists() == [[0]]
+            assert seps == [] and [vs.to_list() for vs in catalog] == [[0]]
 
     def test_null_graph_lists_nothing(self):
         seps, catalog = brute_force_lists(Graph.from_edges(0, []))
@@ -501,7 +498,7 @@ class TestOutputSensitiveListings:
     def test_listings_stay_inside_space(self, pair):
         g, keep = pair
         h, old = induced_subgraph(g, keep)
-        singletons = [VertexSet.of(v) for v in old]
+        singletons = [vset(v) for v in old]
 
         def lift(masks):
             return sorted(expand(VertexSet(m), singletons).mask for m in masks)

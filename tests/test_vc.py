@@ -28,7 +28,7 @@ from pmckit import (
 )
 from pmckit.bitset import iter_bits
 from pmckit.vc import _pmc_walk, _sep_walk
-from reference import active_separators, full_components
+from reference import active_separators, full_components, vset
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -175,7 +175,7 @@ class TestSeparatorsByVc:
     def test_requires_cover(self):
         g = path(4)
         with pytest.raises(InputError):
-            separators_by_vc(g, VertexSet.of(0))
+            separators_by_vc(g, vset(0))
 
     def test_clique_has_none(self):
         g = complete(5)
@@ -241,7 +241,7 @@ class TestSeparatorsByVc:
 class TestActivePmcsByVc:
     def test_requires_cover(self):
         with pytest.raises(InputError):
-            active_pmcs_by_vc(path(4), VertexSet.of(0))
+            active_pmcs_by_vc(path(4), vset(0))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_sound_and_covers_active(self, seed):
@@ -255,17 +255,17 @@ class TestActivePmcsByVc:
 
     def test_cube_contains_active_fixture(self, cube_graph):
         catalog = active_pmcs_by_vc(cube_graph, minimum_vertex_cover(cube_graph))
-        assert VertexSet.of(0, 2, 4, 6, 7) in catalog  # a,e,g,c,h
+        assert vset(0, 2, 4, 6, 7) in catalog  # a,e,g,c,h
 
     def test_clique(self):
         g = complete(5)
         catalog = active_pmcs_by_vc(g, minimum_vertex_cover(g))
-        assert catalog.to_lists() == [[0, 1, 2, 3, 4]]
+        assert [vs.to_list() for vs in catalog] == [[0, 1, 2, 3, 4]]
 
 
 class TestPmcsByVc:
     def test_single_vertex(self):
-        assert pmcs_by_vc(empty_graph(1)).to_lists() == [[0]]
+        assert [vs.to_list() for vs in pmcs_by_vc(empty_graph(1))] == [[0]]
 
     def test_path3(self):
         got = pmcs_by_vc(path(3))
@@ -274,8 +274,8 @@ class TestPmcsByVc:
     def test_cube(self, cube_graph):
         got = pmcs_by_vc(cube_graph)
         assert got.mask_set() == brute_force_lists(cube_graph)[1].mask_set()
-        assert VertexSet.of(0, 2, 4, 6, 7) in got
-        assert VertexSet.of(0, 2, 5, 7) in got
+        assert vset(0, 2, 4, 6, 7) in got
+        assert vset(0, 2, 5, 7) in got
 
     def test_matches_oracle_on_corpus(self, quick_corpus):
         for name, g in quick_corpus:
@@ -316,7 +316,7 @@ class TestPmcsByVc:
         bigger = VertexSet(w.mask | (g.full_mask & ~w.mask & -(g.full_mask & ~w.mask)))
         assert pmcs_by_vc(g, bigger).mask_set() == brute_force_lists(g)[1].mask_set()
         with pytest.raises(InputError):
-            pmcs_by_vc(path(4), VertexSet.of(0))
+            pmcs_by_vc(path(4), vset(0))
 
     def test_members_all_verified(self, quick_corpus):
         from pmckit import is_pmc
@@ -328,7 +328,7 @@ class TestPmcsByVc:
     def test_disconnected_input(self):
         g = empty_graph(3)
         got = pmcs_by_vc(g)
-        assert got.to_lists() == [[0], [1], [2]]
+        assert [vs.to_list() for vs in got] == [[0], [1], [2]]
 
     @PROPERTY
     @given(strategies.disconnected_graphs())
