@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .bitset import VertexSet, bit_list
 from .errors import CapExceeded, InputError
@@ -441,6 +442,58 @@ def _render_pretty(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_chunks(value) -> Iterator[str]:
+    """``json.dumps(value, indent=2)`` in chunks, without the json module's pure-Python encoder.
+
+    ``indent`` makes the json module build one string per token through
+    nested generators, one frame per level of nesting. This walks ``value``
+    with an explicit stack instead, so a deep decomposition tree prints, and
+    writes a list of ints, or a list of int lists (a listing), as one chunk
+    from one join of row texts. Keys and every other scalar go through
+    ``json.dumps``, so escaping and the spelling of floats, None and bools
+    stay the stdlib's. The join path takes only elements whose type is int
+    itself: a bool is an int too, but ``str(True)`` is "True". Chunks are
+    yielded as they are made, so the caller can write them without holding
+    the whole text twice.
+    """
+    # each entry is finished text, or (value, the newline and indent its own lines start with)
+    todo: list = [(value, "\n")]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            yield item
+            continue
+        v, nl = item
+        inner = nl + "  "
+        if isinstance(v, dict):
+            if not v:
+                yield "{}"
+                continue
+            todo.append(nl + "}")
+            items = list(v.items())
+            for i in range(len(items) - 1, -1, -1):
+                k, x = items[i]
+                todo.append((x, inner))
+                todo.append(("," if i else "{") + inner + json.dumps(k) + ": ")
+        elif isinstance(v, (list, tuple)):
+            if not v:
+                yield "[]"
+            elif set(map(type, v)) <= {int}:
+                yield "[" + inner + ("," + inner).join(map(str, v)) + nl + "]"
+            elif all(type(r) in (list, tuple) and set(map(type, r)) <= {int} for r in v):
+                deeper = inner + "  "
+                sep = "," + deeper
+                rows = ["[" + deeper + sep.join(map(str, r)) + inner + "]" if r else "[]" for r in v]
+                yield "[" + inner + ("," + inner).join(rows) + nl + "]"
+            else:
+                todo.append(nl + "]")
+                for i in range(len(v) - 1, -1, -1):
+                    todo.append((v[i], inner))
+                    todo.append(("," if i else "[") + inner)
+        else:
+            yield json.dumps(v)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -456,7 +509,8 @@ def main(argv=None) -> int:
         if getattr(args, "pretty", False):
             sys.stdout.write(_render_pretty(report))
         else:
-            sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
+            sys.stdout.writelines(_json_chunks(report.to_dict()))
+            sys.stdout.write("\n")
         return code
     except (InputError, CapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

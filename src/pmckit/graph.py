@@ -280,14 +280,32 @@ def generate(family: str, **params) -> Graph:
 # PACE .gr I/O (1-based vertex indices on the wire, 0-based internally)
 # ---------------------------------------------------------------------------
 
+def _lines(text: str) -> Iterator[str]:
+    """``text.splitlines()``, split one block of about 4 KiB at a time.
+
+    Each block ends just after a line feed, so no CR LF pair is cut and a
+    block's last line is whole: the blocks' lines are the whole text's
+    lines, and only one block's list of lines is held at a time. Text with
+    no line feed after the first 4 KiB is one block.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + (1 << 12)) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def parse_gr(text: str) -> Graph:
     """Parse PACE .gr: 'c' comments, one 'p tw <n> <m>' header, '<u> <v>' edge lines.
 
-    Duplicate edges are collapsed; self-loops are rejected.
+    Duplicate edges are collapsed; self-loops are rejected. Line numbers in
+    errors count lines as ``str.splitlines`` does. Each edge is OR-ed into the
+    adjacency masks as its line is read, so memory beyond the text is the
+    masks, about n^2/8 bytes, whatever the number of lines.
     """
     n: int | None = None
-    edges: list[tuple[int, int]] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    adj: list[int] = []
+    for ln, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -306,6 +324,7 @@ def parse_gr(text: str) -> Graph:
                 raise GrParseError("negative header fields", ln)
             if n > MAX_VERTICES:
                 raise GrParseError(f"{n} vertices, above the limit of {MAX_VERTICES}", ln)
+            adj = [0] * n
         else:
             if n is None:
                 raise GrParseError("edge line before 'p tw' header", ln)
@@ -319,10 +338,11 @@ def parse_gr(text: str) -> Graph:
                 raise GrParseError(f"vertex index out of range: {u} {v}", ln)
             if u == v:
                 raise GrParseError(f"self-loop at vertex {u}", ln)
-            edges.append((u - 1, v - 1))
+            adj[u - 1] |= 1 << (v - 1)
+            adj[v - 1] |= 1 << (u - 1)
     if n is None:
         raise GrParseError("missing 'p tw' header")
-    return Graph.from_edges(n, edges)
+    return _graph_from_adj(n, adj)
 
 
 def read_gr(path: str) -> Graph:
@@ -338,6 +358,7 @@ def read_gr(path: str) -> Graph:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise GrParseError("not UTF-8 text", data.count(b"\n", 0, exc.start) + 1) from None
+    del data  # the text is all parse_gr needs; do not hold the file twice while it runs
     return parse_gr(text)
 
 

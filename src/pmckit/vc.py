@@ -106,24 +106,29 @@ def _sep_walk(adj: tuple[int, ...], wmask: int) -> set[int]:
     so no cover edge joins D1 and D2, and the walk skips any branch that
     would put a cover vertex on the side opposite one of its cover
     neighbours.
+
+    The mirror (D2, S, D1) of a partition gives the same candidate, since
+    s1 & s2 is symmetric, and the walk prunes both alike. So only partitions
+    whose first side vertex is in D1 are walked: a cover vertex may go to s2
+    only once some earlier one went to s1 (``split``).
     """
     cover = _cover_sees(adj, wmask)
     k = len(cover)
     out: set[int] = set()
 
-    def walk(i: int, sep: int, s1: int, s2: int) -> None:
+    def walk(i: int, sep: int, s1: int, s2: int, split: bool) -> None:
         if i == k:
             out.add(sep | (s1 & s2))
             return
         b, t, c = cover[i]
         i += 1
-        walk(i, sep | b, s1, s2)
+        walk(i, sep | b, s1, s2, split)
         if not c & s2:
-            walk(i, sep, s1 | t, s2)
-        if not c & s1:
-            walk(i, sep, s1, s2 | t)
+            walk(i, sep, s1 | t, s2, True)
+        if split and not c & s1:
+            walk(i, sep, s1, s2 | t, True)
 
-    walk(0, 0, 0, 0)
+    walk(0, 0, 0, 0, False)
     return out
 
 
@@ -172,38 +177,39 @@ def _pmc_walk(adj: tuple[int, ...], wmask: int) -> set[int]:
     """
     cover = _cover_sees(adj, wmask)
     nonw = ~wmask
-    outs = [a & nonw for a in adj]
     k = len(cover)
     out: set[int] = set()
     update = out.update
 
-    def leaf(om: int, sds: int, sdx: int, sdy: int) -> None:
+    def leaf(om: int, sds: int, sdx: int, sdy: int, sides: tuple[int, ...]) -> None:
         near = sdx | sdy
         base = om | (sds & near)
         quiet_near = near & ~sds & nonw
         if not quiet_near:
             out.add(base)
             return
-        sides = {0, *(outs[w] for w in iter_bits(om))}
         xs = {quiet_near & (sdx | a) for a in sides}
         ys = {quiet_near & (sdy | a) for a in sides}
         update([base | (mx & my) for mx in xs for my in ys])
 
-    def walk(i: int, om: int, sds: int, sdx: int, sdy: int, split: bool) -> None:
+    # sides: 0 and the non-cover neighbourhood of each cover vertex put in Om
+    # so far, carried down so that a leaf does not rebuild it from om
+    def walk(i: int, om: int, sds: int, sdx: int, sdy: int, split: bool,
+             sides: tuple[int, ...]) -> None:
         if i == k:
-            leaf(om, sds, sdx, sdy)
+            leaf(om, sds, sdx, sdy, sides)
             return
         b, t, c = cover[i]
         i += 1
-        walk(i, om | b, sds, sdx, sdy, split)
+        walk(i, om | b, sds, sdx, sdy, split, (*sides, t ^ b))
         if not c & (sdx | sdy):
-            walk(i, om, sds | t, sdx, sdy, split)
+            walk(i, om, sds | t, sdx, sdy, split, sides)
         if not c & (sds | sdy):
-            walk(i, om, sds, sdx | t, sdy, True)
+            walk(i, om, sds, sdx | t, sdy, True, sides)
         if split and not c & (sds | sdx):
-            walk(i, om, sds, sdx, sdy | t, True)
+            walk(i, om, sds, sdx, sdy | t, True, sides)
 
-    walk(0, 0, 0, 0, 0, False)
+    walk(0, 0, 0, 0, 0, False, (0,))
     return out
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import multiprocessing
@@ -10,6 +11,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pmckit.cli
 import pmckit.graph
@@ -51,6 +54,20 @@ def run_cli(capsys, argv):
 def run_json(capsys, argv):
     code, out = run_cli(capsys, argv)
     return code, json.loads(out)
+
+
+class _Sha256Writer:
+    """A text stream that keeps only the SHA-256 of what is written to it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text: str) -> None:
+        self.digest.update(text.encode())
+
+    def writelines(self, chunks) -> None:
+        for text in chunks:
+            self.write(text)
 
 
 class TestSchemaAndCommands:
@@ -169,6 +186,42 @@ class TestSchemaAndCommands:
         assert two == one
 
 
+# JSON values with the report writer's traps: bools among ints, empty rows,
+# empty containers, floats the stdlib spells its own way, and strings that
+# need escaping (quotes, backslashes, non-ASCII, U+2028)
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([1e-07, -0.0, 'say "hi"', "back\\slash", "na\u00efve \u2603", "\u2028"]),
+    st.text(max_size=8),
+)
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        _JSON_SCALARS,
+        st.lists(st.integers(-3, 300), max_size=5),
+        st.lists(st.lists(st.integers(-3, 300), max_size=4), max_size=4),
+        st.lists(st.one_of(st.integers(-3, 3), st.booleans()), max_size=4),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.one_of(st.text(max_size=5), st.sampled_from(['"', "\\", "\u2028"])),
+                        inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestReportWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_VALUES)
+    @example([True, 1])
+    @example([[1, False], [], [2]])
+    @example([[]])
+    @example({"a": {}, "b": [], "c": [[]], "d": [{}]})
+    @example({"separators": [[0, 3], [], [1, 2, 4]], "counts": {"separators": 3}})
+    def test_writer_matches_stdlib_indent(self, value):
+        assert "".join(pmckit.cli._json_chunks(value)) == json.dumps(value, indent=2)
+
+
 class TestImports:
     def test_cli_import_skips_multiprocessing(self):
         # only --jobs N > 1 starts worker processes, so only it imports them
@@ -256,19 +309,11 @@ class TestInputGuards:
         assert started == []
         assert "--jobs" in capsys.readouterr().err
 
-    def test_deep_inputs_exit_2_without_traceback(self, capsys, tmp_path):
-        # the stdlib JSON encoder recurses per level of a threshold graph's
-        # 500-deep decomposition; a 2100-vertex path makes the cover search
-        # recurse per vertex
-        p = tmp_path / "threshold.gr"
-        p.write_text(write_gr(strategies.threshold(500)))
-        for argv in (
-            ["decompose", "--input", str(p)],
-            ["enum", "seps", "--family", "path", "--n", "2100"],
-        ):
-            assert main(argv) == 2, argv
-            err = capsys.readouterr().err
-            assert "Traceback" not in err and "recursion" in err, argv
+    def test_deep_inputs_exit_2_without_traceback(self, capsys):
+        # a 2100-vertex path makes the cover search recurse per vertex
+        assert main(["enum", "seps", "--family", "path", "--n", "2100"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "recursion" in err
 
     def test_deep_cograph_runs_on_mw(self, capsys, tmp_path):
         # every tree pass of the mw route walks the 500-deep decomposition
@@ -285,6 +330,24 @@ class TestInputGuards:
             assert data["results"]["counts"] == counts, argv
         code, out = run_cli(capsys, ["decompose", "--pretty", "--input", str(p)])
         assert code == 0 and "mw=0" in out
+        # the report writer walks the 1000 levels of nested JSON without
+        # recursing; the stdlib encoder needs a raised limit for the same text
+        # the text is about 95 MB of indentation, so both sides are hashed as
+        # they are written; the encoder's iterencode is json.dumps's text in chunks
+        got = _Sha256Writer()
+        with contextlib.redirect_stdout(got):
+            assert main(["decompose", "--input", str(p)]) == 0
+        report, _ = pmckit.cli._cmd_decompose(pmckit.cli.build_parser().parse_args(
+            ["decompose", "--input", str(p)]))
+        want = _Sha256Writer()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(20000)
+        try:
+            want.writelines(json.JSONEncoder(indent=2).iterencode(report.to_dict()))
+        finally:
+            sys.setrecursionlimit(limit)
+        want.write("\n")
+        assert got.digest.hexdigest() == want.digest.hexdigest()
 
     def test_non_utf8_input_exits_2_without_traceback(self, capsys, tmp_path):
         p = tmp_path / "bad.gr"

@@ -87,6 +87,62 @@ def test_pair_summary_marks_a_difference_inside_the_first_spread_unresolved():
         "first's q1-q3 12-16, median difference +5")
 
 
+BOUNDED = [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
+           {"name": "peak_rss_mib", "better": "lower", "bound": 0.1}]
+
+
+def test_pair_summary_marks_a_gain_only_by_the_whole_rule():
+    # the first side's ops_per_s runs 10..19: median 14.5, q1 12.25, q3 16.75
+    first = {"w": [run(s, 10.0 + s, 30.0) for s in range(10)]}
+    # +5 on nine seeds and a loss on seed 0: the median moves by +5 > 4.5
+    nine = {"w": [run(s, 15.0 + s if s else 9.0, 30.0) for s in range(10)]}
+    # the same median, with a second loss on seed 1: only 8/10 wins
+    eight = {"w": [run(s, 15.0 + s if s > 1 else 9.0 + s, 30.0) for s in range(10)]}
+    # better on all ten seeds, but by +1, inside the first side's spread
+    small = {"w": [run(s, 11.0 + s, 30.0) for s in range(10)]}
+    lines = collect_bench.pair_summary(BOUNDED, first, nine)
+    assert lines[0] == ("w ops_per_s: median ratio 1.323, second better on 9/10 seeds, "
+                        "first's q1-q3 12.25-16.75, median difference +5")
+    assert lines[2:] == ["w ops_per_s: gain, second better on 9/10 seeds by +5 in the median, "
+                         "beyond q3 - q1 4.5"]
+    assert len(collect_bench.pair_summary(BOUNDED, first, eight)) == 2
+    assert len(collect_bench.pair_summary(BOUNDED, first, small)) == 2
+
+
+def test_pair_summary_flags_a_median_worse_than_its_bound():
+    first = {"w": [run(s, 20.0, 30.0) for s in range(10)]}
+    past = {"w": [run(s, 14.0, 33.5) for s in range(10)]}    # -30 % and +11.7 %
+    within = {"w": [run(s, 16.0, 32.5) for s in range(10)]}  # -20 % and +8.3 %
+    assert collect_bench.pair_summary(BOUNDED, first, past)[2:] == [
+        "w ops_per_s: worse than its bound, median 20 -> 14, more than 25% worse",
+        "w peak_rss_mib: worse than its bound, median 30 -> 33.5, more than 10% worse",
+    ]
+    assert len(collect_bench.pair_summary(BOUNDED, first, within)) == 2
+    # a metric BENCHMARK.json gives no bound is never flagged
+    assert len(collect_bench.pair_summary(END_TO_END, first, past)) == 2
+
+
+def test_two_checkouts_print_the_verdicts(tmp_path, monkeypatch, capsys):
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    (first / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["false"], "run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": BOUNDED}))
+    monkeypatch.setattr(collect_bench, "ROOT", str(tmp_path))
+    monkeypatch.setattr(collect_bench, "uncommitted", lambda checkout: "")
+    monkeypatch.setattr(collect_bench, "git_sha", {str(first): "a" * 40, str(second): "b" * 40}.get)
+    # the second side is faster on every seed and uses 20 % more memory
+    monkeypatch.setattr(collect_bench, "bench_once", lambda checkout, command, workload, seed, seconds:
+                        run(seed, 10.0 + seed, 30.0) if checkout == str(first)
+                        else run(seed, 20.0 + seed, 36.0))
+    assert collect_bench.main(["--checkout", str(first), "--checkout", str(second),
+                               "--note", "test", "--seeds", "1-10"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[-2:] == [
+        "w ops_per_s: gain, second better on 10/10 seeds by +10 in the median, beyond q3 - q1 4.5",
+        "w peak_rss_mib: worse than its bound, median 30 -> 36, more than 10% worse",
+    ]
+
+
 def test_two_checkouts_print_the_pair_summary(tmp_path, monkeypatch, capsys):
     first, second = tmp_path / "first", tmp_path / "second"
     first.mkdir()

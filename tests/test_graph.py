@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 
@@ -25,7 +27,7 @@ from pmckit import (
     watermelon,
     write_gr,
 )
-from pmckit.graph import _component_table, _components_with_nbrs, _grow
+from pmckit.graph import _component_table, _components_with_nbrs, _grow, _lines
 from reference import CUBE_INDEX, full_components, neighborhood, vset
 
 PROPERTY = settings(max_examples=80, deadline=None)
@@ -281,6 +283,10 @@ class TestGrFormat:
             ("p tw x 1\n", 1),               # non-integer
             ("p tw 2 1\n1 2 3\n", 2),        # bad edge line
             ("p tw 10000000000 0\n", 1),     # above MAX_VERTICES, refused before allocating
+            ("p tw 2 1\r\n1 1\r\n", 2),      # lines count as str.splitlines counts them
+            ("p tw 2 1\r1 1\r", 2),
+            ("p tw 2 1\x0c1 1\x0c", 2),
+            ("c a\r\n\rp tw 2 1\x0c\n1 3\n", 5),
         ],
     )
     def test_parse_errors_carry_line(self, text, line):
@@ -291,3 +297,27 @@ class TestGrFormat:
     def test_missing_header(self):
         with pytest.raises(GrParseError):
             parse_gr("c nothing else\n")
+
+    @pytest.mark.parametrize("pad", range(6))
+    def test_lines_across_blocks_are_splitlines(self, pad):
+        # CR LF pairs, lone CRs and form feeds fall on every side of the
+        # block cuts as the padding shifts them
+        text = "c" * pad + "\n" + "1 2\r\n\r1 2\x0c\n\n" * 2000 + "1 2"
+        assert list(_lines(text)) == text.splitlines()
+        bad = text + "\r\n2 2\r"
+        with pytest.raises(GrParseError) as exc:
+            parse_gr("p tw 2 1\r\n" + bad)
+        assert exc.value.line == len(bad.splitlines()) + 1
+
+    def test_repeated_edges_take_no_memory_per_line(self):
+        # edges go into the adjacency masks as lines are read: no list of
+        # every line or of every edge is kept
+        text = "p tw 2 1\n" + "1 2\n" * (1 << 16)
+        tracemalloc.start()
+        try:
+            g = parse_gr(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (g.n, g.m) == (2, 1)
+        assert peak < len(text) // 2

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import json
 import random
 import sys
 from unittest import mock
@@ -30,8 +31,9 @@ from pmckit import (
     modular_width,
     path,
     tree_to_json,
+    write_gr,
 )
-from pmckit import graph, modular, recognition, solvers
+from pmckit import cli, graph, modular, recognition, solvers
 from pmckit.bitset import iter_bits
 from pmckit.graph import Graph
 from reference import neighborhood, vset
@@ -429,19 +431,22 @@ class TestEnumerationByMw:
 
 class TestTreeWalks:
     def test_no_function_calls_itself(self):
-        # every modular-tree pass and the listings run on explicit stacks;
-        # a self-call would bring back a Python frame per tree level or search step
-        for module in (modular, solvers, recognition, graph):
+        # every modular-tree pass, the listings and the report writer run on
+        # explicit stacks; a self-call would bring back a Python frame per tree
+        # level or search step
+        for module in (modular, solvers, recognition, graph, cli):
             for fn in ast.walk(ast.parse(inspect.getsource(module))):
                 if isinstance(fn, ast.FunctionDef):
                     called = {c.func.id for c in ast.walk(fn)
                               if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
                     assert fn.name not in called, f"{module.__name__}.{fn.name}"
 
-    def test_deep_tree_passes_run_on_a_shallow_stack(self):
+    def test_deep_tree_passes_run_on_a_shallow_stack(self, capsys, tmp_path):
         # threshold(300) nests 300 modules; with the limit just above the
         # caller's depth, a pass that took a frame per level would raise
         g = strategies.threshold(300)
+        gr = tmp_path / "threshold.gr"
+        gr.write_text(write_gr(g))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack(0)) + 100)
         try:
@@ -450,7 +455,10 @@ class TestTreeWalks:
             rendered = tree_to_json(tree)
             width = modular_width(tree)
             tw = solvers._solve_tree(tree, "tw")
+            code = cli.main(["decompose", "--input", str(gr)])
         finally:
             sys.setrecursionlimit(limit)
         assert (len(seps), len(catalog), width, tw) == (149, 150, 0, 150)
         assert rendered["modular_width"] == 0 and rendered["root"]["kind"] == "join"
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["results"]["decomposition"] == rendered

@@ -19,7 +19,11 @@ median per-seed ratio, second checkout over first, the number of seeds
 where the second is better, in the direction BENCHMARK.json gives, the
 first checkout's q1-q3 and the difference of the medians. A difference no
 larger than q3 - q1 is marked unresolved: it cannot be told from the first
-checkout's own spread, so it does not count as a gain.
+checkout's own spread. After those lines come the verdicts: a metric is a
+gain only when the second checkout is better on at least nine tenths of the
+paired seeds and its median is better by more than the first's q3 - q1, and
+a metric whose second median is worse than the first's by more than its
+BENCHMARK.json `bound` (a fraction of the first median) is flagged.
 """
 
 from __future__ import annotations
@@ -103,9 +107,12 @@ def pair_summary(end_to_end: list[dict], first: dict, second: dict) -> list[str]
     better in the metric's ``better`` direction, and a tie counts for neither.
     Each line also gives the first side's q1-q3 over the paired seeds and
     the difference of the two medians, marked unresolved when it is no
-    larger than q3 - q1.
+    larger than q3 - q1. The verdict lines follow all of these: "gain" when
+    the second wins at least 9/10 of the pairs and its median is better by
+    more than q3 - q1, and "worse than its bound" when the second median is
+    worse by more than the metric's ``bound`` times the first median.
     """
-    lines = []
+    lines, verdicts = [], []
     for workload in first:
         a, b = ({run["seed"]: run["metrics"] for run in runs[workload] if run.get("correct")}
                 for runs in (first, second))
@@ -122,7 +129,14 @@ def pair_summary(end_to_end: list[dict], first: dict, second: dict) -> list[str]
                              f"second better on {wins}/{len(pairs)} seeds, "
                              f"first's q1-q3 {q1:.4g}-{q3:.4g}, median difference {diff:+.4g}"
                              + (" (unresolved)" if abs(diff) <= q3 - q1 else ""))
-    return lines
+                if 10 * wins >= 9 * len(pairs) and sign * diff > q3 - q1:
+                    verdicts.append(f"{workload} {name}: gain, second better on {wins}/{len(pairs)} "
+                                    f"seeds by {diff:+.4g} in the median, beyond q3 - q1 {q3 - q1:.4g}")
+                bound = metric.get("bound")
+                if bound is not None and -sign * diff > bound * abs(median):
+                    verdicts.append(f"{workload} {name}: worse than its bound, median "
+                                    f"{median:.4g} -> {median + diff:.4g}, more than {bound:.0%} worse")
+    return lines + verdicts
 
 
 def git_sha(checkout: str) -> str:
