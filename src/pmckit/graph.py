@@ -358,7 +358,6 @@ def read_gr(path: str) -> Graph:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise GrParseError("not UTF-8 text", data.count(b"\n", 0, exc.start) + 1) from None
-    del data  # the text is all parse_gr needs; do not hold the file twice while it runs
     return parse_gr(text)
 
 

@@ -330,10 +330,10 @@ class TestInputGuards:
             assert data["results"]["counts"] == counts, argv
         code, out = run_cli(capsys, ["decompose", "--pretty", "--input", str(p)])
         assert code == 0 and "mw=0" in out
-        # the report writer walks the 1000 levels of nested JSON without
-        # recursing; the stdlib encoder needs a raised limit for the same text
-        # the text is about 95 MB of indentation, so both sides are hashed as
-        # they are written; the encoder's iterencode is json.dumps's text in chunks
+        # decompose's JSON nests about 1000 levels: the report writer prints it
+        # without recursing, and the stdlib encoder gives the same text under a
+        # raised limit. The text is about 95 MB of indentation, so each side is
+        # hashed as it is written (iterencode yields json.dumps's text in chunks).
         got = _Sha256Writer()
         with contextlib.redirect_stdout(got):
             assert main(["decompose", "--input", str(p)]) == 0
