@@ -41,7 +41,7 @@ from .recognition import (
     brute_force_lists,
     is_minimal_uv_separator,
 )
-from .solvers import _catalog_value, _solve_tree
+from .solvers import _solve_tree, min_fill_in, treewidth
 from .vc import minimum_vertex_cover, pmcs_by_vc, separators_by_vc
 
 # Largest --jobs accepted; each job is one worker process.
@@ -116,9 +116,9 @@ def _route_basis(g: Graph, method: str, report: RunReport | None = None):
     """The structure a route starts from, computed once per command.
 
     The minimum vertex cover for vc, the modular decomposition tree for mw,
-    None for brute. With a report, the route's parameter is recorded too:
-    called once per component, it sums the covers and keeps the widest
-    modular width, which gives the whole graph's parameter.
+    None for brute. With a report, the route's parameter is recorded too;
+    covers add up, so solve's one cover per component records the whole
+    graph's.
     """
     if g.n == 0:
         raise InputError("graph must be nonempty")
@@ -129,7 +129,7 @@ def _route_basis(g: Graph, method: str, report: RunReport | None = None):
     elif method == "mw":
         basis = modular_decomposition(g)
         if report is not None:
-            report.mw = max(report.mw or 0, modular_width(basis))
+            report.mw = modular_width(basis)
     else:
         basis = None
     return basis
@@ -157,22 +157,22 @@ def _route_lists(
 def solve_value(g: Graph, problem: str, method: str, jobs: int = 1, report=None) -> int:
     """Treewidth ('tw') or minimum fill-in ('fillin') of any graph.
 
-    Splits into connected components, solves each, and combines with max
-    (treewidth) or sum (fill-in). The mw route solves a component along its
-    modular decomposition tree; the others run the block DP over its PMC
-    catalog. Each component's route basis is computed once, and recorded in
+    The mw route solves g along its modular decomposition tree, whose union
+    root combines the components. The others split g into connected
+    components, run the block DP over each one's PMC catalog, and combine
+    with max (treewidth) or sum (fill-in); the split keeps their listings
+    to each component. Each route basis is computed once, and recorded in
     ``report`` when one is given.
     """
+    if method == "mw":
+        return _solve_tree(_route_basis(g, method, report), problem)
     if g.n == 0:
         raise InputError("graph must be nonempty")
     values = []
     for comp in components(g, VertexSet()):
         sub, _ = induced_subgraph(g, comp)
-        basis = _route_basis(sub, method, report)
-        if method == "mw":
-            values.append(_solve_tree(basis, problem))
-            continue
-        values.append(_catalog_value(sub, _route_lists(sub, method, jobs, basis, "pmcs")[1], problem))
+        catalog = _route_lists(sub, method, jobs, _route_basis(sub, method, report), "pmcs")[1]
+        values.append(treewidth(sub, catalog) if problem == "tw" else min_fill_in(sub, catalog))
     return max(values) if problem == "tw" else sum(values)
 
 

@@ -8,15 +8,17 @@ block folds only its own PMCs; every catalog carries those components, as
 the recognizer, the subset scan or the listing that verified Omega found
 them, so the DP runs no component search. Blocks are processed by increasing
 (|S + C|, |C|), which every recursive dependency strictly decreases, so a
-single bottom-up pass suffices. The oracles search every vertex elimination
-order instead, memoized on the eliminated set S, since the graph reached does
-not depend on the order within S; the vertex v eliminated next borders Q(S, v),
-the neighbourhood of v's component in G[S + v] (Bodlaender, Fomin, Koster,
-Kratsch and Thilikos, ESA 2006), which graph._component_table stores.
-The tree solver of the mw route combines both along the modular
-decomposition: closed forms at union and join nodes, the block DP on each
-prime quotient of single vertices, and the same elimination search, with
-module weights, on a prime quotient of modules.
+single bottom-up pass suffices. The root folds one block (empty, C) per
+component C of g, so the solvers take any graph. The oracles search every
+vertex elimination order instead, memoized on the eliminated set S, since
+the graph reached does not depend on the order within S; the vertex v
+eliminated next borders Q(S, v), the neighbourhood of v's component in
+G[S + v] (Bodlaender, Fomin, Koster, Kratsch and Thilikos, ESA 2006),
+which graph._component_table stores. The tree solver of the mw route
+combines both along the modular decomposition: closed forms at union and
+join nodes, the block DP on each prime quotient of single vertices, and
+the same elimination search, with module weights, on a prime quotient of
+modules.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from operator import add
 
 from .bitset import VertexSet, iter_bits
 from .errors import InputError
-from .graph import Graph, _component_table, _grow, induced_subgraph
-from .modular import ModuleNode, ModuleTree, _post_order, base_enumerate, enumerate_by_mw
-from .recognition import PmcCatalog, _refuse_oversize
+from .graph import Graph, _component_table, induced_subgraph
+from .modular import ModuleNode, ModuleTree, _post_order, enumerate_by_mw
+from .recognition import PmcCatalog, _pmc_listing, _refuse_oversize
 
 # Largest quotient of a prime node with module children that the tree solver
 # searches by subsets (2^q sets); above it the node's subgraph is solved from
@@ -47,17 +49,15 @@ class Block:
     comp: VertexSet
 
 
-def _check_solver_input(g: Graph, catalog: PmcCatalog) -> None:
+def _catalog_entries(g: Graph, catalog: PmcCatalog):
+    """Each PMC of g's catalog with its pieces (N(C), C), C a component of g - Omega.
+
+    Refuses an empty g and a catalog of another graph.
+    """
     if g.n == 0:
         raise InputError("graph must be nonempty")
-    if _grow(g.adj, 1, g.full_mask)[0] != g.full_mask:
-        raise InputError("solver requires a connected graph; split components first")
     if catalog.graph != g:
         raise InputError("catalog was built for a different graph")
-
-
-def _catalog_entries(catalog: PmcCatalog):
-    """Each PMC with the pieces (N(C), C) of the components C of g - Omega, as the catalog keeps them."""
     return [(vs.mask, p) for vs, p in zip(catalog.members, catalog._pieces)]
 
 
@@ -73,25 +73,34 @@ def _block_order(entries):
 
 def dp_blocks(g: Graph, catalog: PmcCatalog) -> list[Block]:
     """The block states the solvers evaluate, in evaluation order."""
-    _check_solver_input(g, catalog)
-    return [
-        Block(VertexSet(s), VertexSet(c))
-        for s, c in _block_order(_catalog_entries(catalog))
-    ]
+    order = _block_order(_catalog_entries(g, catalog))
+    return [Block(VertexSet(s), VertexSet(c)) for s, c in order]
 
 
-def _block_dp(g: Graph, catalog: PmcCatalog, step, fold) -> int:
-    """Minimum over the catalog's block trees of the steps combined by fold.
+def _block_dp(adj: tuple[int, ...], full: int, entries, problem: str) -> int:
+    """Treewidth ('tw') or minimum fill-in ('fillin') of the graph g on adj and full from its PMCs.
 
-    For each component D of g - Omega, Omega resolves the block (S, C) with
-    S = N(D) and C the full component of S holding Omega - S: g - S minus
-    every component of g - Omega whose neighborhood lies inside S. A block
-    folds step(Omega, S) with Omega's pieces inside C, minimized over its
-    Omega; the root does the same over every Omega with S empty.
+    ``entries`` are the (Omega, pieces) pairs of every PMC of g, as a
+    catalog or _pmc_listing gives them. For each component D of g - Omega,
+    Omega resolves the block (S, C) with S = N(D) and C the full component
+    of S holding Omega - S: g - S minus every component of g - Omega whose
+    neighborhood lies inside S. A block folds step(Omega, S) with Omega's
+    pieces inside C, by max (the bag size less one) or + (the pairs Omega
+    adds to S), minimized over its Omega. The root does the same over
+    every Omega with S empty, folding one block (empty, C) for each
+    component C of g without Omega, so it combines the components of a
+    disconnected graph.
     """
-    _check_solver_input(g, catalog)
-    entries = _catalog_entries(catalog)
-    full = g.full_mask
+    if problem == "tw":
+        step, fold = (lambda om, s: om.bit_count() - 1), max
+    else:
+        fill, fold = cache(partial(_fill_pairs, adj)), add
+
+        def step(om: int, s: int) -> int:
+            added = fill(om) - fill(s)
+            assert added >= 0, "completing a superset never removes missing pairs"
+            return added
+
     index: dict[tuple[int, int], dict[int, tuple]] = {}
     for om, pieces in entries:
         for s, _ in pieces:
@@ -124,8 +133,8 @@ def _block_dp(g: Graph, catalog: PmcCatalog, step, fold) -> int:
 
 
 def treewidth(g: Graph, catalog: PmcCatalog) -> int:
-    """Exact treewidth of a connected graph given its complete PMC catalog."""
-    return _block_dp(g, catalog, lambda om, s: om.bit_count() - 1, max)
+    """Exact treewidth of a graph given its complete PMC catalog."""
+    return _block_dp(g.adj, g.full_mask, _catalog_entries(g, catalog), "tw")
 
 
 def _fill_pairs(adj: tuple[int, ...], xmask: int) -> int:
@@ -137,15 +146,8 @@ def _fill_pairs(adj: tuple[int, ...], xmask: int) -> int:
 
 
 def min_fill_in(g: Graph, catalog: PmcCatalog) -> int:
-    """Exact minimum fill-in of a connected graph given its complete PMC catalog."""
-    fill = cache(partial(_fill_pairs, g.adj))
-
-    def step(om: int, s: int) -> int:
-        added = fill(om) - fill(s)
-        assert added >= 0, "completing a superset never removes missing pairs"
-        return added
-
-    return _block_dp(g, catalog, step, add)
+    """Exact minimum fill-in of a graph given its complete PMC catalog."""
+    return _block_dp(g.adj, g.full_mask, _catalog_entries(g, catalog), "fillin")
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +233,6 @@ def brute_force_fill_in(g: Graph, cap: int | None = None) -> int:
 # Solving along the modular decomposition tree
 # ---------------------------------------------------------------------------
 
-def _catalog_value(g: Graph, catalog: PmcCatalog, problem: str) -> int:
-    return treewidth(g, catalog) if problem == "tw" else min_fill_in(g, catalog)
-
-
 def _by_catalog(node: ModuleNode) -> bool:
     """True for a prime node the tree solver hands to the catalog of its subgraph."""
     return (node.kind == "prime" and len(node.children) > _QUOTIENT_DP_CAP
@@ -248,7 +246,8 @@ def _node_value(g: Graph, node: ModuleNode, kids: list, problem: str) -> tuple[i
     w = len(node.vertices)
     if _by_catalog(node):
         sub, _ = induced_subgraph(g, node.vertices)
-        return _catalog_value(sub, enumerate_by_mw(sub, what="pmcs")[1], problem), w, sub.m
+        entries = _catalog_entries(sub, enumerate_by_mw(sub, what="pmcs")[1])
+        return _block_dp(sub.adj, sub.full_mask, entries, problem), w, sub.m
     q = node.quotient
     e = sum(k[2] for k in kids) + sum(kids[i][1] * kids[j][1] for i, j in q.edges())
     tw = problem == "tw"
@@ -263,7 +262,7 @@ def _node_value(g: Graph, node: ModuleNode, kids: list, problem: str) -> tuple[i
             missing = [kw * (kw - 1) // 2 - ke for _, kw, ke in kids]
             value = sum(missing) + min(kv - m for (kv, _, _), m in zip(kids, missing))
     elif all(c.kind == "leaf" for c in node.children):
-        value = _catalog_value(q, base_enumerate(q, "pmcs")[1], problem)
+        value = _block_dp(q.adj, q.full_mask, _pmc_listing(q.adj, q.full_mask)[1].items(), problem)
     else:
         value = _elimination_search(q.adj, kids, problem) - (0 if tw else e)
     return value, w, e

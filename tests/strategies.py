@@ -19,6 +19,12 @@ def graphs(draw, min_n: int = 1, max_n: int = 8) -> Graph:
     return Graph.from_edges(n, chosen)
 
 
+def disjoint_union(*graphs: Graph) -> Graph:
+    """The graphs side by side, in order, with no edge between them."""
+    graph, _ = expand_graph(empty_graph(len(graphs)), list(graphs))
+    return graph
+
+
 def threshold(n: int) -> Graph:
     """Odd i joined to every earlier vertex: a cograph whose modular tree nests about n levels."""
     return Graph.from_edges(n, [(i, j) for i in range(1, n, 2) for j in range(i)])

@@ -495,6 +495,25 @@ class TestDeterminism:
              "eba1a28d3a57bb88b4450ba1ebef5a0da892753c6232ca4dfde4e208c0ac90f8"),
             (["solve", "fillin", "--family", "watermelon", "--p", "4", "--q", "3", "--method", "mw"],
              "a53498f922cb545bcb50ace635a1f15f17f3a22ab26a623a6a181fa5ea18f971"),
+            # gnp(12,0.15,1) has four components; mw reports {"vc": null, "mw": 7}
+            (["solve", "tw", "--family", "gnp", "--n", "12", "--prob", "0.15", "--seed", "1",
+              "--method", "vc"],
+             "6199e7a419094aeedbbff32cfcca7281712e74387f2cc51d3c8f045cdcfcdd5d"),
+            (["solve", "tw", "--family", "gnp", "--n", "12", "--prob", "0.15", "--seed", "1",
+              "--method", "mw"],
+             "df3fdb5e8d097ad1ad9f484c93b8b0c83cc5eff31e41023688e08255beff0987"),
+            (["solve", "tw", "--family", "gnp", "--n", "12", "--prob", "0.15", "--seed", "1",
+              "--method", "brute"],
+             "d5ca1e97e2ccf0a73fdc857dfcea21416f6b68cc52e5529cb05d4b2c8a4859b9"),
+            (["solve", "fillin", "--family", "gnp", "--n", "12", "--prob", "0.15", "--seed", "1",
+              "--method", "vc"],
+             "d5c476f392c41ac0e154551f76f82a0d23e25ed50788a3244844e3c4571d61d6"),
+            (["solve", "fillin", "--family", "gnp", "--n", "12", "--prob", "0.15", "--seed", "1",
+              "--method", "mw"],
+             "930d8b6378744fc17d937219d8eb098bc89942d6850e8c85c71e85f26bad3915"),
+            (["solve", "fillin", "--family", "gnp", "--n", "12", "--prob", "0.15", "--seed", "1",
+              "--method", "brute"],
+             "d77df4ccd02f50261dff563e383f40613db9ddd8da587939aa0aa681db8f9311"),
             # gnp(13,0.3,2) is a 12-vertex prime quotient plus an isolated vertex
             (["enum", "seps", "--family", "gnp", "--n", "13", "--prob", "0.3", "--seed", "2",
               "--method", "mw"],
@@ -664,8 +683,9 @@ class TestWorkDoneOnce:
                 "--method", method]
         code, blob = run_json(capsys, argv)
         assert code == 0
-        # the four components, and not the whole graph again
-        assert sorted(args[0].n for args in calls) == [1, 1, 3, 7]
+        # vc: the four components, and not the whole graph again; mw: the
+        # whole graph once, whose union root combines the components
+        assert sorted(args[0].n for args in calls) == ([12] if method == "mw" else [1, 1, 3, 7])
         assert blob["params"] == want_params
 
     def test_solve_mw_decomposes_once(self, capsys, monkeypatch):
@@ -684,7 +704,7 @@ class TestWorkDoneOnce:
         gr = tmp_path / "g.gr"
         gr.write_text(write_gr(g))
         whole = count_calls(monkeypatch, "enumerate_by_mw", [pmckit.cli, pmckit.solvers])
-        listings = count_calls(monkeypatch, "_pmc_listing", [pmckit.modular])
+        listings = count_calls(monkeypatch, "_pmc_listing", [pmckit.solvers, pmckit.modular])
         collected = []
         collect = PmcCatalog.collect.__func__
 
@@ -699,6 +719,46 @@ class TestWorkDoneOnce:
             assert sorted(adj for adj, _ in listings) == sorted(q.adj for q in quotients)
             listings.clear()
         assert whole == [] and g not in collected
+
+    def test_solve_mw_walks_one_tree_of_a_disconnected_graph(self, capsys, monkeypatch, tmp_path,
+                                                              mw_solve_quotients):
+        # a join of a prime module and a vertex, a prime module and a small
+        # gnp side by side: one decomposition, of the whole graph, each
+        # all-leaf prime quotient listed once, and no catalog built
+        g = strategies.disjoint_union(expand_graph(path(2), [mw_solve_quotients[0], empty_graph(1)])[0],
+                                      mw_solve_quotients[1], gnp(6, 0.4, 3))
+        nodes, quotients = [modular_decomposition(g).root], []
+        while nodes:
+            node = nodes.pop()
+            if node.kind == "prime" and all(c.kind == "leaf" for c in node.children):
+                quotients.append(node.quotient.adj)
+            nodes += node.children
+        assert len(quotients) >= 2
+        gr = tmp_path / "g.gr"
+        gr.write_text(write_gr(g))
+        want = {}
+        for problem in ("tw", "fillin"):
+            code, blob = run_json(capsys, ["solve", problem, "--input", str(gr), "--method", "vc"])
+            assert code == 0
+            want[problem] = blob["results"]
+        trees = count_calls(monkeypatch, "modular_decomposition", [pmckit.cli, pmckit.modular])
+        listings = count_calls(monkeypatch, "_pmc_listing", [pmckit.solvers, pmckit.modular])
+        built = []
+        from_pieces = PmcCatalog.from_pieces.__func__
+
+        def counted_from_pieces(cls, graph, pieces):
+            built.append(graph)
+            return from_pieces(cls, graph, pieces)
+
+        monkeypatch.setattr(PmcCatalog, "from_pieces", classmethod(counted_from_pieces))
+        for problem in ("tw", "fillin"):
+            code, blob = run_json(capsys, ["solve", problem, "--input", str(gr), "--method", "mw"])
+            assert code == 0 and blob["results"] == want[problem]
+            assert [args[0] for args in trees] == [g]
+            assert sorted(adj for adj, _ in listings) == sorted(quotients)
+            trees.clear()
+            listings.clear()
+        assert built == []
 
     @pytest.mark.parametrize("method, keys", [
         ("vc", {"build", "vertex_cover", "separators", "pmcs"}),

@@ -122,6 +122,28 @@ def test_pair_summary_flags_a_median_worse_than_its_bound():
     assert len(collect_bench.pair_summary(END_TO_END, first, past)) == 2
 
 
+def test_pair_summary_flags_a_larger_failed_share():
+    first = {"w": [run(s, 20.0, 30.0, failed=int(s == 1)) for s in range(1, 5)]}
+    # 2/40 failed against 1/40; a seed the first side did not run is left out
+    more = {"w": [run(s, 20.0, 30.0, failed=2 * (s == 3)) for s in range(1, 6)]}
+    more["w"][4]["failed"] = 9
+    # the same share, spread over other seeds, and in runs that are not correct
+    same = {"w": [run(s, 20.0, 30.0, correct=s != 2, failed=int(s == 2)) for s in range(1, 5)]}
+    assert collect_bench.pair_summary(BOUNDED, first, more)[2:] == [
+        "w: second failed a larger share of operations, 1/40 -> 2/40"]
+    assert collect_bench.pair_summary(BOUNDED, more, first)[2:] == []
+    assert len(collect_bench.pair_summary(BOUNDED, first, same)) == 2
+
+
+def test_pair_summary_counts_failures_of_runs_without_result():
+    # a crashed run attempted nothing that can be counted; failures elsewhere still show
+    first = {"w": [{"seed": 1, "correct": False, "error": "Traceback ..."}, run(2, 20.0, 30.0)]}
+    second = {"w": [run(1, 20.0, 30.0, correct=False, failed=10), run(2, 20.0, 30.0)]}
+    assert collect_bench.pair_summary(BOUNDED, first, second)[2:] == [
+        "w: second failed a larger share of operations, 0/10 -> 10/20"]
+    assert collect_bench.pair_summary(BOUNDED, second, first)[2:] == []
+
+
 def test_two_checkouts_print_the_verdicts(tmp_path, monkeypatch, capsys):
     first, second = tmp_path / "first", tmp_path / "second"
     first.mkdir()
@@ -141,6 +163,25 @@ def test_two_checkouts_print_the_verdicts(tmp_path, monkeypatch, capsys):
         "w ops_per_s: gain, second better on 10/10 seeds by +10 in the median, beyond q3 - q1 4.5",
         "w peak_rss_mib: worse than its bound, median 30 -> 36, more than 10% worse",
     ]
+
+
+def test_two_checkouts_flag_a_larger_failed_share(tmp_path, monkeypatch, capsys):
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    (first / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["false"], "run_seconds": 1, "workloads": [{"name": "v"}, {"name": "w"}],
+        "end_to_end": BOUNDED}))
+    monkeypatch.setattr(collect_bench, "ROOT", str(tmp_path))
+    monkeypatch.setattr(collect_bench, "uncommitted", lambda checkout: "")
+    monkeypatch.setattr(collect_bench, "git_sha", {str(first): "a" * 40, str(second): "b" * 40}.get)
+    # the same metrics; on w the second side fails one operation per seed
+    monkeypatch.setattr(collect_bench, "bench_once", lambda checkout, command, workload, seed, seconds:
+                        run(seed, 20.0, 30.0, failed=int(workload == "w" and checkout == str(second))))
+    assert collect_bench.main(["--checkout", str(first), "--checkout", str(second),
+                               "--note", "test", "--seeds", "1-3"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1:] == ["w: second failed a larger share of operations, 0/30 -> 3/30"]
+    assert not any(line.startswith("v:") for line in err)
 
 
 def test_two_checkouts_print_the_pair_summary(tmp_path, monkeypatch, capsys):

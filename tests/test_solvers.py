@@ -37,6 +37,7 @@ from pmckit.bitset import iter_bits
 from pmckit.cli import solve_value
 from pmckit.graph import Graph
 from reference import full_components
+from strategies import disjoint_union
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -134,10 +135,19 @@ class TestDynamicProgram:
         assert treewidth(g, cat) == 0
         assert min_fill_in(g, cat) == 0
 
-    def test_rejects_disconnected(self):
+    def test_solves_disconnected(self):
+        # each vertex is a component, folded by the root as a block (empty, {v})
         g = empty_graph(2)
-        with pytest.raises(InputError):
-            treewidth(g, brute_force_lists(g)[1])
+        cat = brute_force_lists(g)[1]
+        assert (treewidth(g, cat), min_fill_in(g, cat)) == (0, 0)
+
+    # at most 10 vertices: three catalogs and both oracles, a few ms an example
+    @PROPERTY
+    @given(strategies.disconnected_graphs())
+    def test_disconnected_graphs_match_oracles(self, g):
+        want = (brute_force_treewidth(g), brute_force_fill_in(g))
+        for catalog in (brute_force_lists(g)[1], pmcs_by_vc(g), enumerate_by_mw(g)[1]):
+            assert (treewidth(g, catalog), min_fill_in(g, catalog)) == want
 
     def test_rejects_foreign_catalog(self):
         with pytest.raises(InputError):
@@ -206,11 +216,6 @@ class TestSolveValue:
 
 def complete_multipartite(parts) -> Graph:
     graph, _ = expand_graph(complete(len(parts)), [empty_graph(a) for a in parts])
-    return graph
-
-
-def disjoint_union(*graphs: Graph) -> Graph:
-    graph, _ = expand_graph(empty_graph(len(graphs)), list(graphs))
     return graph
 
 

@@ -23,7 +23,9 @@ checkout's own spread. After those lines come the verdicts: a metric is a
 gain only when the second checkout is better on at least nine tenths of the
 paired seeds and its median is better by more than the first's q3 - q1, and
 a metric whose second median is worse than the first's by more than its
-BENCHMARK.json `bound` (a fraction of the first median) is flagged.
+BENCHMARK.json `bound` (a fraction of the first median) is flagged, as is a
+workload whose second checkout failed a larger share of its operations
+(failed over attempted, summed over the seeds both checkouts ran).
 """
 
 from __future__ import annotations
@@ -110,7 +112,10 @@ def pair_summary(end_to_end: list[dict], first: dict, second: dict) -> list[str]
     larger than q3 - q1. The verdict lines follow all of these: "gain" when
     the second wins at least 9/10 of the pairs and its median is better by
     more than q3 - q1, and "worse than its bound" when the second median is
-    worse by more than the metric's ``bound`` times the first median.
+    worse by more than the metric's ``bound`` times the first median. Last
+    in each workload's verdicts comes a flag when the second side failed a
+    larger share of its operations: failed over attempted, summed over the
+    seeds both sides ran, correct or not (a run with no result counts none).
     """
     lines, verdicts = [], []
     for workload in first:
@@ -136,6 +141,14 @@ def pair_summary(end_to_end: list[dict], first: dict, second: dict) -> list[str]
                 if bound is not None and -sign * diff > bound * abs(median):
                     verdicts.append(f"{workload} {name}: worse than its bound, median "
                                     f"{median:.4g} -> {median + diff:.4g}, more than {bound:.0%} worse")
+        ran = [{run["seed"]: run for run in runs[workload]} for runs in (first, second)]
+        both = [s for s in ran[0] if s in ran[1]]
+        (fail_a, ops_a), (fail_b, ops_b) = (
+            (sum(r[s].get("failed") or 0 for s in both), sum(r[s].get("attempted", 0) for s in both))
+            for r in ran)
+        if fail_b / (ops_b or 1) > fail_a / (ops_a or 1):
+            verdicts.append(f"{workload}: second failed a larger share of operations, "
+                            f"{fail_a}/{ops_a} -> {fail_b}/{ops_b}")
     return lines + verdicts
 
 
