@@ -495,25 +495,6 @@ class TestDeterminism:
              "eba1a28d3a57bb88b4450ba1ebef5a0da892753c6232ca4dfde4e208c0ac90f8"),
             (["solve", "fillin", "--family", "watermelon", "--p", "4", "--q", "3", "--method", "mw"],
              "a53498f922cb545bcb50ace635a1f15f17f3a22ab26a623a6a181fa5ea18f971"),
-            # gnp(12,0.15,1) has four components; mw reports {"vc": null, "mw": 7}
-            (["solve", "tw", "--family", "gnp", "--n", "12", "--prob", "0.15", "--seed", "1",
-              "--method", "vc"],
-             "6199e7a419094aeedbbff32cfcca7281712e74387f2cc51d3c8f045cdcfcdd5d"),
-            (["solve", "tw", "--family", "gnp", "--n", "12", "--prob", "0.15", "--seed", "1",
-              "--method", "mw"],
-             "df3fdb5e8d097ad1ad9f484c93b8b0c83cc5eff31e41023688e08255beff0987"),
-            (["solve", "tw", "--family", "gnp", "--n", "12", "--prob", "0.15", "--seed", "1",
-              "--method", "brute"],
-             "d5ca1e97e2ccf0a73fdc857dfcea21416f6b68cc52e5529cb05d4b2c8a4859b9"),
-            (["solve", "fillin", "--family", "gnp", "--n", "12", "--prob", "0.15", "--seed", "1",
-              "--method", "vc"],
-             "d5c476f392c41ac0e154551f76f82a0d23e25ed50788a3244844e3c4571d61d6"),
-            (["solve", "fillin", "--family", "gnp", "--n", "12", "--prob", "0.15", "--seed", "1",
-              "--method", "mw"],
-             "930d8b6378744fc17d937219d8eb098bc89942d6850e8c85c71e85f26bad3915"),
-            (["solve", "fillin", "--family", "gnp", "--n", "12", "--prob", "0.15", "--seed", "1",
-              "--method", "brute"],
-             "d77df4ccd02f50261dff563e383f40613db9ddd8da587939aa0aa681db8f9311"),
             # gnp(13,0.3,2) is a 12-vertex prime quotient plus an isolated vertex
             (["enum", "seps", "--family", "gnp", "--n", "13", "--prob", "0.3", "--seed", "2",
               "--method", "mw"],
@@ -537,6 +518,25 @@ class TestDeterminism:
              "306f066412311f848bbc6e28a8f87796a133dc2f7cbda5fa4da2b904a6c25943"),
             (["enum", "pmcs", "--family", "cube", "--pretty"],
              "8f92537bc6c26ed5606aae8dcea0ad115fdd542a7d9d15a3e11a7da06d3fde1f"),
+            # gnp(12,0.15,1) has four components; mw reports {"vc": null, "mw": 7}
+            (["solve", "tw", "--family", "gnp", "--n", "12", "--prob", "0.15", "--seed", "1",
+              "--method", "vc"],
+             "6199e7a419094aeedbbff32cfcca7281712e74387f2cc51d3c8f045cdcfcdd5d"),
+            (["solve", "tw", "--family", "gnp", "--n", "12", "--prob", "0.15", "--seed", "1",
+              "--method", "mw"],
+             "df3fdb5e8d097ad1ad9f484c93b8b0c83cc5eff31e41023688e08255beff0987"),
+            (["solve", "tw", "--family", "gnp", "--n", "12", "--prob", "0.15", "--seed", "1",
+              "--method", "brute"],
+             "d5ca1e97e2ccf0a73fdc857dfcea21416f6b68cc52e5529cb05d4b2c8a4859b9"),
+            (["solve", "fillin", "--family", "gnp", "--n", "12", "--prob", "0.15", "--seed", "1",
+              "--method", "vc"],
+             "d5c476f392c41ac0e154551f76f82a0d23e25ed50788a3244844e3c4571d61d6"),
+            (["solve", "fillin", "--family", "gnp", "--n", "12", "--prob", "0.15", "--seed", "1",
+              "--method", "mw"],
+             "930d8b6378744fc17d937219d8eb098bc89942d6850e8c85c71e85f26bad3915"),
+            (["solve", "fillin", "--family", "gnp", "--n", "12", "--prob", "0.15", "--seed", "1",
+              "--method", "brute"],
+             "d77df4ccd02f50261dff563e383f40613db9ddd8da587939aa0aa681db8f9311"),
         ],
     )
     def test_golden_output(self, capsys, argv, digest):
