@@ -3,33 +3,35 @@
 The recognizers are the ground truth of the package: every enumeration route
 (vertex-cover based, modular-width based, or exhaustive) only ever emits
 candidates that pass them, so over-generation anywhere upstream is harmless.
-The exhaustive scan reads the components of G - X for every subset X from
-one table of components of induced subgraphs (graph._component_table). It
-finds the separators from the table's connected sets, then tests as a PMC
-only a set whose components all border a separator other than the set
-itself (Bouchitté and Todinca's lemma), with the recognizer's own pair test.
-Every search for components of G - X goes through graph._grow. Each PMC
-producer keeps the components of G - Omega it met, and every PMC catalog
-carries them for the solvers' block DP.
+The exhaustive scan keeps no table of components. A first pass grows every
+connected set C once, from its lowest vertex, and S is a minimal separator
+exactly when two of them have N(C) = S. A second pass tests as a PMC only
+the complement m of a union of pairwise disjoint, non-adjacent full blocks,
+connected sets whose neighborhood is a separator, and only when no block
+borders all of m, with the recognizer's own pair test. That misses no PMC:
+every component C of G - Omega is a full component of N(C), and N(C) is a
+minimal separator (Bouchitté and Todinca's lemma). Every other search for
+components of G - X goes through graph._grow. Each PMC producer keeps the
+components of G - Omega it met, and every PMC catalog carries them for the
+solvers' block DP.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import compress, islice
-from operator import eq
 
 from .bitset import VertexSet, canonical_sets, iter_bits
 from .errors import CapExceeded, InputError
-from .graph import Graph, _component_table, _components_with_nbrs, _grow, _validate_subset
+from .graph import Graph, _components_with_nbrs, _grow, _validate_subset
 
 # Subset oracles refuse graphs above this size unless told otherwise.
 DEFAULT_ORACLE_CAP = 16
-# No subset oracle runs above this size, whatever its cap: each one's tables
-# have 2^n slots (the component table takes 8 MiB at 20 vertices, and the
-# subset scan's counter array 1 MiB more).
+# No subset oracle runs above this size, whatever its cap: the elimination
+# oracles' component table has 2^n slots (8 MiB at 20 vertices), and so has
+# the subset scan's index of the neighborhoods it meets (4 MiB at 20).
 _ORACLE_CEILING = 20
 # Components PmcCatalog.collect remembers per lowest vertex: candidates share
 # most components of G - Omega, and the last few found hold most of the reuse.
@@ -291,15 +293,20 @@ def _pmc_listing(adj: tuple[int, ...], space: int) -> tuple[list[int], dict[int,
 def _oracle_chunk(args) -> tuple[list[int], dict[int, tuple]]:
     """(minimal separators, {PMC: pieces}) among the subsets m = lo..hi-1 of the n vertices, ascending.
 
-    Two passes over one component table; each worker process builds its own
-    table and runs pass 1 over all 2^n sets, then reports only its share.
+    Two passes, and no table of components: every worker process runs both
+    in full, and reports only its share.
 
     Pass 1, separators. A full component of S is a connected set C with
     N(C) = S: such a C misses S and has no neighbor outside S, so it is a
     component of G - S, and it sees all of S. Conversely every full
-    component of S is such a set. The connected sets are the U >= 1 with
-    first[U] == U, and nbr[U] is N(U), so S is a minimal separator exactly
-    when two such U have nbr[U] == S.
+    component of S is such a set. So S is a minimal separator exactly when
+    two connected sets C have N(C) = S. Each connected set is grown once,
+    from its lowest vertex v: each frontier vertex above v is either taken
+    in or left out for good. Once N[C] = V, G - N(C) is C alone, so N(C)
+    has one full component; C and every extension of C are skipped.
+    ``first[S]`` holds the first C met with N(C) = S, and ``full`` once a
+    second one is met (no C met is all of V: that one is skipped). A full
+    block is a connected C whose N(C) is a separator.
 
     Pass 2, PMCs. If m is a PMC, every component C of G - m has
     S = N(C) a strict subset of m, and S is a minimal separator (Bouchitté
@@ -309,38 +316,58 @@ def _oracle_chunk(args) -> tuple[list[int], dict[int, tuple]]:
     component D of G - S holding x, so D is a second full component, and D
     is not C because x is in m. When S is empty, C is a whole component of
     G and m lies in another, so G is disconnected and S is a separator.
-    The chain of G - m is walked only until a component borders all of m
-    or a set that is no separator; the pair test runs on the rest. Only a
-    PMC has its chain walked once more, for its pieces (N(C), C).
+    So V - m is the union of pairwise disjoint, non-adjacent full blocks,
+    and those blocks are exactly the components of G - m. The walk visits
+    each such union R once, with R = {} first, taking blocks by increasing
+    lowest vertex, each missing N[R]; its blocks, in that order, are the
+    pieces (N(C), C) of m = V - R. m is a candidate when no block has
+    N(C) = m, and then the recognizer's own pair test decides.
     """
     adj, n, lo, hi = args
-    first, nbr = _component_table(adj, n)
-    total = 1 << n
-    # full components per set, counted up to 2: a separator has cnt 2
-    cnt = bytearray(total)
-    connected = map(eq, islice(first, 1, None), range(1, total))
-    for s in compress(islice(nbr, 1, None), connected):
-        cnt[s] += cnt[s] < 2
+    full = (1 << n) - 1
+    first = array(next(c for c in "HIQ" if array(c).itemsize * 8 >= n), [0]) * (full + 1)
+    # blocks by the bit of their lowest vertex u, as (C, N[C], N(C), the vertices above u)
+    blocks, seps = defaultdict(list), []
+    for v in range(n):
+        low = 1 << v
+        above = full & -(low << 1)
+        todo = [(low, adj[v] | low, 0)]
+        while todo:
+            comp, closed, out = todo.pop()
+            if closed == full:
+                continue
+            s = closed ^ comp
+            prev = first[s]
+            if not prev:
+                first[s] = comp
+            else:
+                if prev != full:
+                    first[s] = full
+                    seps.append(s)
+                    pl = prev & -prev
+                    blocks[pl].append((prev, prev | s, s, full & -(pl << 1)))
+                blocks[low].append((comp, closed, s, above))
+            grow = s & above & ~out
+            while grow:
+                u = grow & -grow
+                todo.append((comp | u, closed | adj[u.bit_length() - 1], out))
+                out |= u
+                grow ^= u
     pmcs = {}
-    full = total - 1
-    for m in range(max(lo, 1), hi):
-        nbs = []
-        rest = full ^ m
-        while rest:
-            s = nbr[rest]
-            if s == m or cnt[s] < 2:
-                break
-            nbs.append(s)
-            rest ^= first[rest]
-        else:
-            if _pairs_covered(adj, m, nbs):
-                pieces, rest = [], full ^ m
-                while rest:
-                    comp = first[rest]
-                    pieces.append((nbr[rest], comp))
-                    rest ^= comp
-                pmcs[m] = tuple(pieces)
-    return list(compress(range(lo, hi), map((1).__lt__, islice(cnt, lo, hi)))), pmcs
+    todo = [(0, 0, sum(blocks), (), ())]  # the keys are distinct bits: their sum is their union
+    while todo:
+        r, closed, nxt, nbs, pieces = todo.pop()
+        m = full ^ r
+        if lo <= m < hi and m and m not in nbs and _pairs_covered(adj, m, nbs):
+            pmcs[m] = pieces
+        fresh = nxt & ~closed
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            for comp, nc, s, above in blocks[low]:
+                if not comp & closed:
+                    todo.append((r | comp, closed | nc, nxt & above, nbs + (s,), pieces + ((s, comp),)))
+    return sorted(s for s in seps if lo <= s < hi), dict(sorted(pmcs.items()))
 
 
 def _refuse_oversize(n: int, cap: int | None, what: str) -> None:

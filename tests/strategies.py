@@ -25,6 +25,12 @@ def disjoint_union(*graphs: Graph) -> Graph:
     return graph
 
 
+def join(a: Graph, b: Graph) -> Graph:
+    """a and b side by side, every vertex of a adjacent to every vertex of b."""
+    graph, _ = expand_graph(complete(2), [a, b])
+    return graph
+
+
 def threshold(n: int) -> Graph:
     """Odd i joined to every earlier vertex: a cograph whose modular tree nests about n levels."""
     return Graph.from_edges(n, [(i, j) for i in range(1, n, 2) for j in range(i)])

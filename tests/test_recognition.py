@@ -57,7 +57,7 @@ from reference import (
     pmc_separators,
     vset,
 )
-from strategies import disjoint_union
+from strategies import disjoint_union, join
 
 PROPERTY = settings(max_examples=80, deadline=None)
 
@@ -357,7 +357,7 @@ class TestOracles:
             monkeypatch.setattr(mod, "_grow", counted)
         seps, catalog = brute_force_lists(gnp(12, 0.3, 1))
         assert seps and len(catalog)
-        assert calls == []  # every subset's components, and each PMC's pieces, come from the one table
+        assert calls == []  # connected sets grow by their own frontier; a PMC's pieces are its blocks
 
     @pytest.mark.parametrize("oracle", [
         lambda g: brute_force_lists(g, cap=30, jobs=2),
@@ -368,8 +368,9 @@ class TestOracles:
         def never(*args, **kwargs):
             raise AssertionError("allocated for a graph above the ceiling")
 
-        for mod in (pmckit.graph, pmckit.recognition, pmckit.solvers):
+        for mod in (pmckit.graph, pmckit.solvers):
             monkeypatch.setattr(mod, "_component_table", never)
+        monkeypatch.setattr(pmckit.recognition, "_oracle_chunk", never)
         monkeypatch.setattr(multiprocessing, "Pool", never)
         with pytest.raises(CapExceeded, match="n=21 exceeds cap 20"):
             oracle(empty_graph(21))
@@ -399,9 +400,33 @@ class TestOracles:
         disjoint_union(gnp(6, 0.4, 2), cycle(6)),
     ], ids=["p0.15", "p0.3", "p0.5", "disconnected"])
     def test_membership_matches_recognizers_at_12(self, g):
-        # at 12 vertices most chains of G - m stop early, at a full
-        # component or at a neighborhood that is no separator
+        # at 12 vertices most subsets are no union of full blocks, so the
+        # scan's walk never meets them
         assert_lists_keep_recognized_subsets(g)
+
+    @pytest.mark.parametrize("g", [
+        complete(6), join(complete(1), path(6)), join(complete(1), empty_graph(10)),
+        join(empty_graph(3), empty_graph(4)), cycle(10),
+        disjoint_union(join(complete(1), empty_graph(5)), cycle(5)),
+    ], ids=["complete6", "K1+path6", "star10", "K34", "cycle10", "star5_cycle5"])
+    def test_lists_and_pieces_where_the_scan_prunes_or_walks_wide(self, g):
+        # a connected set holding an apex dominates, so the scan skips it;
+        # stars, K(3,4) and cycles have many unions of full blocks to walk
+        assert_lists_keep_recognized_subsets(g)
+        _, catalog = brute_force_lists(g)
+        assert catalog._pieces == tuple(search_pieces(g, vs.mask) for vs in catalog.members)
+
+    def test_pair_test_runs_on_few_subsets_of_a_path(self, monkeypatch):
+        real, calls = pmckit.recognition._pairs_covered, []
+
+        def counted(adj, om, nbs):
+            calls.append(om)
+            return real(adj, om, nbs)
+
+        monkeypatch.setattr(pmckit.recognition, "_pairs_covered", counted)
+        seps, catalog = brute_force_lists(path(16))
+        assert len(seps) == 14 and len(catalog) == 15
+        assert len(calls) < (1 << 16) // 100
 
     @pytest.mark.parametrize("g", [gnp(12, 0.3, 1), disjoint_union(gnp(6, 0.4, 2), cycle(6))],
                              ids=["connected", "disconnected"])
