@@ -10,10 +10,11 @@ the complement m of a union of pairwise disjoint, non-adjacent full blocks,
 connected sets whose neighborhood is a separator, and only when no block
 borders all of m, with the recognizer's own pair test. That misses no PMC:
 every component C of G - Omega is a full component of N(C), and N(C) is a
-minimal separator (Bouchitté and Todinca's lemma). Every other search for
-components of G - X goes through graph._grow. Each PMC producer keeps the
-components of G - Omega it met, and every PMC catalog carries them for the
-solvers' block DP.
+minimal separator (Bouchitté and Todinca's lemma). A union is skipped with
+every union grown from it once some vertex that stays in m can no longer
+have its pairs covered. Every other search for components of G - X goes
+through graph._grow. Each PMC producer keeps the components of G - Omega it
+met, and every PMC catalog carries them for the solvers' block DP.
 """
 
 from __future__ import annotations
@@ -123,6 +124,23 @@ def _pairs_covered(adj: tuple[int, ...], om: int, seps: list[int]) -> bool:
         if om & ~cov:
             return False
     return True
+
+
+def _stranded(adj: tuple[int, ...], stay: int, later: int, seps: tuple[int, ...]) -> bool:
+    """True iff some v in ``stay`` with no neighbor in ``later`` has N[v] plus the ``seps`` holding v short of ``stay``."""
+    rest = stay
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        cov = adj[bit.bit_length() - 1] | bit
+        if cov & later:
+            continue
+        for s in seps:
+            if s & bit:
+                cov |= s
+        if stay & ~cov:
+            return True
+    return False
 
 
 def is_minimal_separator(g: Graph, s: VertexSet) -> bool:
@@ -318,10 +336,19 @@ def _oracle_chunk(args) -> tuple[list[int], dict[int, tuple]]:
     G and m lies in another, so G is disconnected and S is a separator.
     So V - m is the union of pairwise disjoint, non-adjacent full blocks,
     and those blocks are exactly the components of G - m. The walk visits
-    each such union R once, with R = {} first, taking blocks by increasing
-    lowest vertex, each missing N[R]; its blocks, in that order, are the
-    pieces (N(C), C) of m = V - R. m is a candidate when no block has
-    N(C) = m, and then the recognizer's own pair test decides.
+    each such union R at most once (see the prune), with R = {} first,
+    taking blocks by increasing lowest vertex, each missing N[R]; its
+    blocks, in that order, are the pieces (N(C), C) of m = V - R. m is a
+    candidate when no block has N(C) = m, and then the recognizer's own pair
+    test decides.
+
+    The prune. Blocks added to R lie in ``later``, the vertices from nxt's
+    lowest bit up minus N[R], so every m grown from R keeps m - later. For v
+    there with no neighbor in later, no later block C has v in N(C): v's
+    pairs are covered only by N[v] and the N(C) taken that hold v. If those
+    miss a vertex of m - later, R and every union grown from it fail the
+    pair test and are skipped. No PMC is lost, and the prune ignores lo
+    and hi, so every share walks alike.
     """
     adj, n, lo, hi = args
     full = (1 << n) - 1
@@ -358,6 +385,9 @@ def _oracle_chunk(args) -> tuple[list[int], dict[int, tuple]]:
     while todo:
         r, closed, nxt, nbs, pieces = todo.pop()
         m = full ^ r
+        later = full & -(nxt & -nxt) & ~closed if nxt else 0
+        if _stranded(adj, m & ~later, later, nbs):
+            continue
         if lo <= m < hi and m and m not in nbs and _pairs_covered(adj, m, nbs):
             pmcs[m] = pieces
         fresh = nxt & ~closed
@@ -395,6 +425,6 @@ def _oracle_scan(g: Graph, cap: int | None, jobs: int) -> tuple[list[int], dict[
 
 def brute_force_lists(g: Graph, cap: int | None = None,
                       jobs: int = 1) -> tuple[list[VertexSet], PmcCatalog]:
-    """All minimal separators and all PMCs of g by one scan of every vertex subset."""
+    """All minimal separators and all PMCs of g, from the exhaustive scan (see _oracle_chunk)."""
     seps, pmcs = _oracle_scan(g, cap, jobs)
     return canonical_sets(seps), PmcCatalog.from_pieces(g, pmcs)

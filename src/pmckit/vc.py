@@ -1,26 +1,31 @@
 """Vertex-cover computation and cover-parameterized enumeration of separators and PMCs.
 
-The enumerators walk partition spaces of a vertex cover W, once each, on the
-whole graph: the three-partitions of W for minimal separators and its
-four-partitions (plus a pair choice) for PMCs with an active separator. The
-walks go depth-first over the cover vertices and carry OR-ed masks of each
-side's cover vertices and the non-cover vertices it sees, so a leaf costs a
-few bitwise operations. They never put a cover vertex on a side that holds
+The enumerators walk partition spaces of a vertex cover W, once for each
+connected component's part of W: the three-partitions of W for minimal
+separators and its four-partitions (plus a pair choice) for PMCs with an
+active separator. A nonempty minimal separator or a PMC lies in one
+component, and its lemma's partition puts every other component's cover
+vertices on the far side (D2 or Ds), where they add nothing: so the walks
+cost the sum of the components' partitions, not the product. The walks go
+depth-first over the cover vertices and carry OR-ed masks of each side's
+cover vertices and the non-cover vertices it sees, so a leaf costs a few
+bitwise operations. They never put a cover vertex on a side that holds
 one of its cover neighbours: every side they need lies in components of
 G - S or G - Omega that no edge joins, so 3^|W| and 4^|W| are only upper
 bounds on the partitions visited. The candidates for PMCs with an active
 separator are the four-partition candidates plus every closed neighborhood
-N[x]; the full PMC catalog adds each separator plus one vertex. Each route
-has one recognizer filter: the separator sweep keeps what passes
-_min_sep_mask, and the PMC candidates go once through PmcCatalog.collect, so
-each stage may over-generate freely.
+N[x]; the full PMC catalog adds each separator S plus one vertex of S's
+component (any when S is empty): no PMC spans two. Each route has one
+recognizer filter: the separator sweep keeps what passes _min_sep_mask, and
+the PMC candidates go once through PmcCatalog.collect, so each stage may
+over-generate freely.
 """
 
 from __future__ import annotations
 
 from .bitset import VertexSet, canonical_sets, iter_bits
 from .errors import InputError
-from .graph import Graph, _validate_subset
+from .graph import Graph, _components_with_nbrs, _validate_subset
 from .graph import prefix_graph  # noqa: F401  (bench/tracing.py wraps this name)
 from .recognition import PmcCatalog, _min_sep_mask
 
@@ -92,8 +97,16 @@ def _cover_sees(adj: tuple[int, ...], wmask: int) -> list[tuple[int, int, int]]:
     return [(1 << w, (1 << w) | adj[w] & outside, adj[w] & wmask) for w in iter_bits(wmask)]
 
 
-def _sep_walk(adj: tuple[int, ...], wmask: int) -> set[int]:
-    """Separator candidates from the three-partitions (D1, S, D2) of the cover.
+def _walk_parts(g: Graph, wmask: int, walk) -> set[int]:
+    """One ``walk`` per connected component's part of the cover, all into one set (see the module docstring)."""
+    out: set[int] = set()
+    for comp, _ in _components_with_nbrs(g.adj, g.full_mask):
+        walk(g.adj, wmask & comp, out)
+    return out
+
+
+def _sep_walk(adj: tuple[int, ...], wmask: int, out: set[int]) -> set[int]:
+    """Separator candidates from the three-partitions (D1, S, D2) of the cover, added to ``out``.
 
     The walk assigns each cover vertex depth-first to the separator part sep
     or to one of the sides s1 and s2, OR-ing into a side the vertex's bit and
@@ -114,7 +127,6 @@ def _sep_walk(adj: tuple[int, ...], wmask: int) -> set[int]:
     """
     cover = _cover_sees(adj, wmask)
     k = len(cover)
-    out: set[int] = set()
 
     def walk(i: int, sep: int, s1: int, s2: int, split: bool) -> None:
         if i == k:
@@ -136,7 +148,7 @@ def _sep_masks_by_vc(g: Graph, wmask: int) -> list[int]:
     """Verified minimal-separator masks from the 3-partition sweep of the cover."""
     adj = g.adj
     full = g.full_mask
-    return [m for m in _sep_walk(adj, wmask) if _min_sep_mask(adj, m, full)]
+    return [m for m in _walk_parts(g, wmask, _sep_walk) if _min_sep_mask(adj, m, full)]
 
 
 def separators_by_vc(g: Graph, w: VertexSet) -> list[VertexSet]:
@@ -151,8 +163,8 @@ def separators_by_vc(g: Graph, w: VertexSet) -> list[VertexSet]:
     return canonical_sets(_sep_masks_by_vc(g, w.mask))
 
 
-def _pmc_walk(adj: tuple[int, ...], wmask: int) -> set[int]:
-    """PMC candidates from the four-partitions (Ds, Dx, Dy, Om) of the cover and a pair choice.
+def _pmc_walk(adj: tuple[int, ...], wmask: int, out: set[int]) -> set[int]:
+    """PMC candidates from the four-partitions (Ds, Dx, Dy, Om) of the cover and a pair choice, added to ``out``.
 
     The walk assigns each cover vertex depth-first to one of the four parts,
     OR-ing its bit and its non-cover neighbors into sds, sdx or sdy (or its
@@ -178,7 +190,6 @@ def _pmc_walk(adj: tuple[int, ...], wmask: int) -> set[int]:
     cover = _cover_sees(adj, wmask)
     nonw = ~wmask
     k = len(cover)
-    out: set[int] = set()
     update = out.update
 
     def leaf(om: int, sds: int, sdx: int, sdy: int, sides: tuple[int, ...]) -> None:
@@ -219,9 +230,8 @@ def _active_pmc_candidates(g: Graph, wmask: int) -> set[int]:
     Two generation routes: the four-partition candidates of the cover (see
     _pmc_walk) and the closed neighborhoods N[t].
     """
-    adj = g.adj
-    cands = _pmc_walk(adj, wmask)
-    cands.update(a | (1 << t) for t, a in enumerate(adj))
+    cands = _walk_parts(g, wmask, _pmc_walk)
+    cands.update(a | (1 << t) for t, a in enumerate(g.adj))
     return cands
 
 
@@ -240,10 +250,11 @@ def pmcs_by_vc(
     maximal cliques of a graph", TCS 2002), a PMC with no active separator is
     a minimal separator plus one vertex, S + {x}, or a closed neighborhood
     N[x]. So the catalog is the active-separator candidates (which include
-    every N[x]) together with every S + {x}, passed once through the
-    recognizer. The cover defaults to a minimum one. The separators are
-    every minimal separator of g, as separators_by_vc lists them; when not
-    given, they come from the three-partition sweep of the cover.
+    every N[x]) together with every S + {x}, x in S's component, passed once
+    through the recognizer. The cover defaults to a minimum one. The
+    separators are every minimal separator of g, as separators_by_vc lists
+    them; when not given, they come from the three-partition sweep of the
+    cover.
     """
     if g.n == 0:
         raise InputError("graph must be nonempty")
@@ -257,5 +268,6 @@ def pmcs_by_vc(
     else:
         seps = [s.mask for s in separators]
     cands = _active_pmc_candidates(g, cover.mask)
-    cands.update(s | (1 << x) for s in seps for x in iter_bits(full & ~s))
+    for comp, _ in _components_with_nbrs(g.adj, full):
+        cands.update(s | (1 << x) for s in seps if s & comp or not s for x in iter_bits(comp & ~s))
     return PmcCatalog.collect(g, cands)

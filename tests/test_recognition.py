@@ -408,25 +408,35 @@ class TestOracles:
         complete(6), join(complete(1), path(6)), join(complete(1), empty_graph(10)),
         join(empty_graph(3), empty_graph(4)), cycle(10),
         disjoint_union(join(complete(1), empty_graph(5)), cycle(5)),
-    ], ids=["complete6", "K1+path6", "star10", "K34", "cycle10", "star5_cycle5"])
+        empty_graph(10), disjoint_union(cycle(5), complete(1), complete(1), path(3)),
+    ], ids=["complete6", "K1+path6", "star10", "K34", "cycle10", "star5_cycle5",
+            "edgeless10", "cycle5_K1_K1_path3"])
     def test_lists_and_pieces_where_the_scan_prunes_or_walks_wide(self, g):
         # a connected set holding an apex dominates, so the scan skips it;
-        # stars, K(3,4) and cycles have many unions of full blocks to walk
+        # stars, K(3,4), cycles and unions of parts have many unions of full
+        # blocks, most of them cut before the pair test
         assert_lists_keep_recognized_subsets(g)
         _, catalog = brute_force_lists(g)
         assert catalog._pieces == tuple(search_pieces(g, vs.mask) for vs in catalog.members)
 
     def test_pair_test_runs_on_few_subsets_of_a_path(self, monkeypatch):
-        real, calls = pmckit.recognition._pairs_covered, []
-
-        def counted(adj, om, nbs):
-            calls.append(om)
-            return real(adj, om, nbs)
-
-        monkeypatch.setattr(pmckit.recognition, "_pairs_covered", counted)
+        calls = count_calls(monkeypatch, "_pairs_covered")
         seps, catalog = brute_force_lists(path(16))
         assert len(seps) == 14 and len(catalog) == 15
         assert len(calls) < (1 << 16) // 100
+
+    @pytest.mark.parametrize("g, n_seps, n_pmcs, most", [
+        (empty_graph(16), 1, 16, 300),
+        (join(complete(1), empty_graph(15)), 1, 15, 300),
+        (cycle(16), 16 * 13 // 2, 16 * 15 * 14 // 6, 2000),
+    ], ids=["edgeless16", "star16", "cycle16"])
+    def test_pair_test_skips_unions_that_cannot_pass(self, monkeypatch, g, n_seps, n_pmcs, most):
+        # every union of these graphs' full blocks is walked unless cut: 2^16,
+        # 2^15 and nearly 2^16 pair tests without the cut
+        calls = count_calls(monkeypatch, "_pairs_covered")
+        seps, catalog = brute_force_lists(g)
+        assert len(seps) == n_seps and len(catalog) == n_pmcs
+        assert len(calls) <= most
 
     @pytest.mark.parametrize("g", [gnp(12, 0.3, 1), disjoint_union(gnp(6, 0.4, 2), cycle(6))],
                              ids=["connected", "disconnected"])
@@ -444,28 +454,58 @@ class TestOracles:
         assert catalog.mask_set() <= set(calls)
         assert len(calls) < 1 << g.n  # most subsets never reach the pair test
 
-    def test_chunks_split_a_disconnected_scan(self):
-        g = disjoint_union(path(4), cycle(5))
-        total = 1 << g.n
-        whole = _oracle_chunk((g.adj, g.n, 0, total))
-        assert whole[0][0] == 0  # the empty set separates the two parts
-        for k in (0, 1, 37, total // 2, total - 1, total):
-            low = _oracle_chunk((g.adj, g.n, 0, k))
-            high = _oracle_chunk((g.adj, g.n, k, total))
-            assert low[0] + high[0] == whole[0]
-            assert list({**low[1], **high[1]}.items()) == list(whole[1].items())
-        seps, pmcs = whole
-        assert seps == sorted(set(seps)) and list(pmcs) == sorted(pmcs)
-        assert all(pieces == search_pieces(g, m) for m, pieces in pmcs.items())
-        seps, catalog = brute_force_lists(g, jobs=2)
-        want_seps, want_catalog = brute_force_lists(g)
-        assert seps == want_seps and VertexSet() in seps
-        assert catalog.members == want_catalog.members
+    def test_chunks_split_a_disconnected_scan(self, monkeypatch):
+        cuts = count_calls(monkeypatch, "_stranded", keep=True)
+        for g in (disjoint_union(path(4), cycle(5)),
+                  disjoint_union(cycle(5), complete(1), complete(1), path(3))):
+            cuts.clear()
+            total = 1 << g.n
+            whole = _oracle_chunk((g.adj, g.n, 0, total))
+            assert whole[0][0] == 0  # the empty set separates the parts
+            for k in (0, 1, 37, total // 2, total - 1, total):
+                low = _oracle_chunk((g.adj, g.n, 0, k))
+                high = _oracle_chunk((g.adj, g.n, k, total))
+                assert low[0] + high[0] == whole[0]
+                assert list({**low[1], **high[1]}.items()) == list(whole[1].items())
+            assert any(cuts)  # the prune fired, and every share still holds its part
+            seps, pmcs = whole
+            assert seps == sorted(set(seps)) and list(pmcs) == sorted(pmcs)
+            assert all(pieces == search_pieces(g, m) for m, pieces in pmcs.items())
+            assert whole == reference_chunk(g)
+            seps, catalog = brute_force_lists(g, jobs=2)
+            want_seps, want_catalog = brute_force_lists(g)
+            assert seps == want_seps and VertexSet() in seps
+            assert catalog.members == want_catalog.members
 
     @PROPERTY
     @given(strategies.graphs(max_n=8))
     def test_lists_keep_exactly_the_recognized_subsets(self, g):
         assert_lists_keep_recognized_subsets(g)
+
+    @PROPERTY
+    @given(strategies.disconnected_graphs())
+    def test_scan_of_a_disconnected_graph_is_its_recognized_subsets(self, g):
+        assert _oracle_chunk((g.adj, g.n, 0, 1 << g.n)) == reference_chunk(g)
+
+
+def count_calls(monkeypatch, name: str, keep: bool = False) -> list:
+    """Wrap pmckit.recognition.<name>; the list gets its second argument per call, or its result with keep."""
+    real, calls = getattr(pmckit.recognition, name), []
+
+    def counted(*args):
+        result = real(*args)
+        calls.append(result if keep else args[1])
+        return result
+
+    monkeypatch.setattr(pmckit.recognition, name, counted)
+    return calls
+
+
+def reference_chunk(g):
+    """What _oracle_chunk must return for all of g's subsets, found subset by subset by the recognizers."""
+    seps = [m for m in range(1 << g.n) if is_minimal_separator(g, VertexSet(m))]
+    pmcs = {m: search_pieces(g, m) for m in range(1, 1 << g.n) if is_pmc(g, VertexSet(m))}
+    return seps, pmcs
 
 
 def assert_lists_keep_recognized_subsets(g):

@@ -10,12 +10,15 @@ import pytest
 from hypothesis import given, settings
 
 import strategies
+import pmckit.vc
 from pmckit import (
     InputError,
+    PmcCatalog,
     VertexSet,
     active_pmcs_by_vc,
     brute_force_lists,
     complete,
+    cube,
     empty_graph,
     gnp,
     is_vertex_cover,
@@ -27,8 +30,9 @@ from pmckit import (
     watermelon,
 )
 from pmckit.bitset import iter_bits
-from pmckit.vc import _pmc_walk, _sep_walk
+from pmckit.vc import _active_pmc_candidates, _pmc_walk, _sep_walk, _walk_parts
 from reference import active_separators, full_components, vset
+from strategies import disjoint_union
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -144,7 +148,7 @@ class TestPartitionSpaces:
                 if joined(g, d1, d2):
                     continue
                 want.add(sep | sum(1 << x for x, ax in nonw if ax & d1 and ax & d2))
-            assert _sep_walk(g.adj, w) == want, name
+            assert _sep_walk(g.adj, w, set()) == want, name
 
     def test_four_partition_walk_matches_generator(self, quick_corpus):
         for name, g in quick_corpus[::4]:
@@ -162,13 +166,13 @@ class TestPartitionSpaces:
                 for a in side_masks:
                     for b in side_masks:
                         want.add(om | (sees[0] & near) | (quiet & near & (sees[1] | a) & (sees[2] | b)))
-            assert _pmc_walk(g.adj, w) == want, name
+            assert _pmc_walk(g.adj, w, set()) == want, name
 
     def test_pair_choice_candidate_count(self):
         # pins the pair cut, so candidates per graph cannot grow back unseen:
         # (x, y) ranges over no vertex and Om's cover vertices only
         g = gnp(24, 0.15, 1)
-        assert len(_pmc_walk(g.adj, minimum_vertex_cover(g).mask)) == 79016
+        assert len(_pmc_walk(g.adj, minimum_vertex_cover(g).mask, set())) == 79016
 
 
 class TestSeparatorsByVc:
@@ -337,3 +341,43 @@ class TestPmcsByVc:
         seps, pmcs = brute_force_lists(g)
         assert separators_by_vc(g, w) == seps
         assert pmcs_by_vc(g, w).mask_set() == pmcs.mask_set()
+
+
+class TestPerComponentWalks:
+    """A cover split over components is walked one component's part at a time."""
+
+    PARTS = (cube(), watermelon(3, 3))
+
+    def test_candidates_are_the_sum_of_each_components_own(self):
+        g = disjoint_union(*self.PARTS)
+        w = minimum_vertex_cover(g).mask
+        seps, pmcs, offset = set(), set(), 0
+        for part in self.PARTS:
+            pw = w >> offset & part.full_mask
+            seps |= {m << offset for m in _sep_walk(part.adj, pw, set())}
+            pmcs |= {m << offset for m in _active_pmc_candidates(part, pw)}
+            offset += part.n
+        assert _walk_parts(g, w, _sep_walk) == seps
+        assert _active_pmc_candidates(g, w) == pmcs
+        # one walk of the whole cover pairs every choice in one part with every one in the other
+        assert len(_sep_walk(g.adj, w, set())) > 10 * len(seps)
+        assert len(_pmc_walk(g.adj, w, set())) > 10 * len(pmcs)
+
+    def test_no_candidate_spans_two_components(self, monkeypatch):
+        g = disjoint_union(*self.PARTS)
+        seen = []
+
+        class Recording(PmcCatalog):
+            @classmethod
+            def collect(cls, graph, candidate_masks):
+                seen.extend(candidate_masks)
+                return PmcCatalog.collect(graph, candidate_masks)
+
+        monkeypatch.setattr(pmckit.vc, "PmcCatalog", Recording)
+        w = minimum_vertex_cover(g)
+        catalog = pmcs_by_vc(g, w)
+        low = self.PARTS[0].full_mask
+        assert seen and all(not m & low or not m & ~low for m in seen)
+        want_seps, want = brute_force_lists(g, cap=g.n)
+        assert separators_by_vc(g, w) == want_seps
+        assert catalog.members == want.members and catalog._pieces == want._pieces
