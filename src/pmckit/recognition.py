@@ -340,7 +340,10 @@ def _oracle_chunk(args) -> tuple[list[int], dict[int, tuple]]:
     taking blocks by increasing lowest vertex, each missing N[R]; its
     blocks, in that order, are the pieces (N(C), C) of m = V - R. m is a
     candidate when no block has N(C) = m, and then the recognizer's own pair
-    test decides.
+    test decides, unless ``later`` (below) is empty, as always at a leaf of
+    the walk (nxt = 0): the prune has then checked every vertex of m against
+    N[v] plus the N(C) holding v, which is the pair test itself, so a union
+    that survives the prune passes.
 
     The prune. Blocks added to R lie in ``later``, the vertices from nxt's
     lowest bit up minus N[R], so every m grown from R keeps m - later. For v
@@ -388,7 +391,7 @@ def _oracle_chunk(args) -> tuple[list[int], dict[int, tuple]]:
         later = full & -(nxt & -nxt) & ~closed if nxt else 0
         if _stranded(adj, m & ~later, later, nbs):
             continue
-        if lo <= m < hi and m and m not in nbs and _pairs_covered(adj, m, nbs):
+        if lo <= m < hi and m and m not in nbs and (not later or _pairs_covered(adj, m, nbs)):
             pmcs[m] = pieces
         fresh = nxt & ~closed
         while fresh:

@@ -18,7 +18,8 @@ which graph._component_table stores. The tree solver of the mw route
 combines both along the modular decomposition: closed forms at union and
 join nodes, the block DP on each prime quotient of single vertices, and
 the same elimination search, with module weights, on a prime quotient of
-modules.
+modules. Treewidth lists no PMCs where _tw_bracket, minor-min-width and
+the greedy min-fill width, closes on the graph about to be listed.
 """
 
 from __future__ import annotations
@@ -229,6 +230,42 @@ def brute_force_fill_in(g: Graph, cap: int | None = None) -> int:
     return _oracle_search(g, cap, "fill-in", "fillin")
 
 
+def _tw_bracket(adj: tuple[int, ...], full: int) -> tuple[int, int]:
+    """(lb, ub) with lb <= tw <= ub for the graph on adj and full; ties go to the lowest vertex.
+
+    lb is minor-min-width (Gogate and Dechter, UAI 2004): contract a vertex
+    of minimum degree d into its neighbour of minimum degree, or delete it
+    when d = 0, and keep the largest d met. Each graph met is a minor of g,
+    treewidth never grows under minors, and the first vertex of any
+    elimination order of a graph of minimum degree d has a bag of d + 1.
+    ub is the width of the greedy min-fill elimination order (Bodlaender
+    and Koster, Inf. Comput. 2010), and no order is narrower than tw. So
+    when lb == ub, that is tw, and no PMC need be listed.
+    """
+    nb = [a & full for a in adj]
+    lb, alive = 0, full
+    while alive & (alive - 1):
+        v = min(iter_bits(alive), key=lambda x: nb[x].bit_count())
+        d, bit = nb[v], 1 << v
+        lb, alive = max(lb, d.bit_count()), alive ^ bit
+        if d:
+            u = min(iter_bits(d), key=lambda x: nb[x].bit_count())
+            into = 1 << u
+            for w in iter_bits(d & ~into):
+                nb[w] = nb[w] & ~bit | into
+            nb[u] = (nb[u] | d) & ~bit & ~into
+    closed = [(a | 1 << v) & full for v, a in enumerate(adj)]
+    ub, alive = 0, full
+    while alive:
+        v = min(iter_bits(alive),
+                key=lambda x: sum((closed[x] & ~closed[y]).bit_count() for y in iter_bits(closed[x])))
+        d = closed[v] & ~(1 << v)
+        ub, alive = max(ub, d.bit_count()), alive ^ (1 << v)
+        for u in iter_bits(d):
+            closed[u] = (closed[u] | d) & ~(1 << v)
+    return lb, ub
+
+
 # ---------------------------------------------------------------------------
 # Solving along the modular decomposition tree
 # ---------------------------------------------------------------------------
@@ -243,14 +280,16 @@ def _node_value(g: Graph, node: ModuleNode, kids: list, problem: str) -> tuple[i
     """(value, |M|, e(M)) of the module M of a node, from the triples of its children."""
     if node.kind == "leaf":
         return 0, 1, 0
-    w = len(node.vertices)
+    w, tw = len(node.vertices), problem == "tw"
     if _by_catalog(node):
         sub, _ = induced_subgraph(g, node.vertices)
-        entries = _catalog_entries(sub, enumerate_by_mw(sub, what="pmcs")[1])
-        return _block_dp(sub.adj, sub.full_mask, entries, problem), w, sub.m
+        value, ub = _tw_bracket(sub.adj, sub.full_mask) if tw else (0, _INF)
+        if value != ub:
+            entries = _catalog_entries(sub, enumerate_by_mw(sub, what="pmcs")[1])
+            value = _block_dp(sub.adj, sub.full_mask, entries, problem)
+        return value, w, sub.m
     q = node.quotient
     e = sum(k[2] for k in kids) + sum(kids[i][1] * kids[j][1] for i, j in q.edges())
-    tw = problem == "tw"
     if node.kind == "union":
         value = (max if tw else sum)(k[0] for k in kids)
     elif node.kind == "join":
@@ -262,7 +301,9 @@ def _node_value(g: Graph, node: ModuleNode, kids: list, problem: str) -> tuple[i
             missing = [kw * (kw - 1) // 2 - ke for _, kw, ke in kids]
             value = sum(missing) + min(kv - m for (kv, _, _), m in zip(kids, missing))
     elif all(c.kind == "leaf" for c in node.children):
-        value = _block_dp(q.adj, q.full_mask, _pmc_listing(q.adj, q.full_mask)[1].items(), problem)
+        value, ub = _tw_bracket(q.adj, q.full_mask) if tw else (0, _INF)
+        if value != ub:
+            value = _block_dp(q.adj, q.full_mask, _pmc_listing(q.adj, q.full_mask)[1].items(), problem)
     else:
         value = _elimination_search(q.adj, kids, problem) - (0 if tw else e)
     return value, w, e
@@ -279,7 +320,8 @@ def _solve_tree(tree: ModuleTree, problem: str) -> int:
     quotient's PMC listing; a prime node with module children runs the
     weighted elimination search over its quotient, or above
     _QUOTIENT_DP_CAP children the block DP over the catalog of its
-    subgraph, whose subtree is then not walked.
+    subgraph, whose subtree is then not walked. Treewidth lists neither
+    the quotient nor the subgraph when its _tw_bracket closes.
     """
     return _post_order(tree.root, lambda node: (node, () if _by_catalog(node) else node.children),
                        lambda node, kids: _node_value(tree.graph, node, kids, problem))[0]

@@ -623,6 +623,12 @@ class TestOracleCapEnv:
         assert captured.err == "error: PMCKIT_ORACLE_CAP must be at least 0, got -1\n"
 
 
+def bracket_open(adj) -> bool:
+    """True when the treewidth bracket of the graph on adj does not close, so solve tw lists its PMCs."""
+    lb, ub = pmckit.solvers._tw_bracket(adj, (1 << len(adj)) - 1)
+    return lb != ub
+
+
 def count_calls(monkeypatch, name, modules):
     """Replace ``name`` in each module namespace by one shared counting wrapper."""
     original = getattr(modules[0], name)
@@ -696,8 +702,10 @@ class TestWorkDoneOnce:
 
     def test_solve_mw_searches_each_pmc_once(self, capsys, monkeypatch, tmp_path, mw_solve_quotients):
         # solve walks the modular tree: no catalog of the whole graph, and the
-        # PMCs of each all-leaf prime module are listed once, on its quotient
+        # PMCs of an all-leaf prime module are listed at most once, on its
+        # quotient: always for fill-in, for tw only when the bracket stays open
         quotients = mw_solve_quotients[:4]
+        assert 0 < sum(bracket_open(q.adj) for q in quotients) < len(quotients)
         g, _ = expand_graph(path(4), quotients)
         whole_catalog = enumerate_by_mw(g)[1]
         want = {"treewidth": treewidth(g, whole_catalog), "fill_in": min_fill_in(g, whole_catalog)}
@@ -716,7 +724,8 @@ class TestWorkDoneOnce:
         for problem, key in (("tw", "treewidth"), ("fillin", "fill_in")):
             code, blob = run_json(capsys, ["solve", problem, "--input", str(gr), "--method", "mw"])
             assert code == 0 and blob["results"]["counts"] == {key: want[key]}
-            assert sorted(adj for adj, _ in listings) == sorted(q.adj for q in quotients)
+            listed = [q.adj for q in quotients if problem == "fillin" or bracket_open(q.adj)]
+            assert sorted(adj for adj, _ in listings) == sorted(listed)
             listings.clear()
         assert whole == [] and g not in collected
 
@@ -724,7 +733,8 @@ class TestWorkDoneOnce:
                                                               mw_solve_quotients):
         # a join of a prime module and a vertex, a prime module and a small
         # gnp side by side: one decomposition, of the whole graph, each
-        # all-leaf prime quotient listed once, and no catalog built
+        # all-leaf prime quotient listed at most once (for tw only when its
+        # bracket stays open), and no catalog built
         g = strategies.disjoint_union(expand_graph(path(2), [mw_solve_quotients[0], empty_graph(1)])[0],
                                       mw_solve_quotients[1], gnp(6, 0.4, 3))
         nodes, quotients = [modular_decomposition(g).root], []
@@ -755,10 +765,31 @@ class TestWorkDoneOnce:
             code, blob = run_json(capsys, ["solve", problem, "--input", str(gr), "--method", "mw"])
             assert code == 0 and blob["results"] == want[problem]
             assert [args[0] for args in trees] == [g]
-            assert sorted(adj for adj, _ in listings) == sorted(quotients)
+            listed = [adj for adj in quotients if problem == "fillin" or bracket_open(adj)]
+            assert sorted(adj for adj, _ in listings) == sorted(listed)
             trees.clear()
             listings.clear()
         assert built == []
+
+    @pytest.mark.parametrize("method", ["mw", "vc"])
+    def test_solve_tw_lists_nothing_where_the_bracket_closes(self, capsys, monkeypatch, method):
+        # watermelon(8,3): minor-min-width and the min-fill width are both 2;
+        # the mw listing took 24.5 s and the vc walk 15.3 s before the bracket
+        listings = count_calls(monkeypatch, "_pmc_listing", [pmckit.solvers, pmckit.modular])
+        walks = count_calls(monkeypatch, "pmcs_by_vc", [pmckit.cli])
+        argv = ["solve", "tw", "--family", "watermelon", "--p", "8", "--q", "3", "--method", method]
+        code, blob = run_json(capsys, argv)
+        assert code == 0 and blob["results"]["counts"] == {"treewidth": 2}
+        assert blob["params"] == {"vc": 10 if method == "vc" else None, "mw": 26 if method == "mw" else None}
+        assert listings == [] and walks == []
+
+    def test_solve_tw_brute_refuses_above_the_cap_where_the_bracket_closes(self, capsys):
+        # the brute route stays the exhaustive referee: no bracket answers for it
+        g = watermelon(8, 3)
+        assert not bracket_open(g.adj) and g.n > 16
+        argv = ["solve", "tw", "--family", "watermelon", "--p", "8", "--q", "3", "--method", "brute"]
+        assert main(argv) == 2
+        assert "oracle refused" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method, keys", [
         ("vc", {"build", "vertex_cover", "separators", "pmcs"}),

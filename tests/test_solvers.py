@@ -24,6 +24,7 @@ from pmckit import (
     enumerate_by_mw,
     expand_graph,
     gnp,
+    induced_subgraph,
     min_fill_in,
     minimum_vertex_cover,
     modular_decomposition,
@@ -234,7 +235,8 @@ class TestTreeSolver:
     def test_catalog_fallback_above_the_quotient_cap(self, monkeypatch, seed):
         # a gnp quotient of path, clique and independent modules: a prime
         # node with module children, solved from the catalog of its subgraph
-        # once the cap is below its quotient size
+        # once the cap is below its quotient size; tw lists that catalog only
+        # when the subgraph's bracket stays open
         quotient = gnp(7, 0.45, seed)
         g, _ = expand_graph(quotient, [(path(3), complete(2), empty_graph(2), empty_graph(1))[i % 4]
                                        for i in range(7)])
@@ -244,13 +246,16 @@ class TestTreeSolver:
                                wraps=pmckit.solvers.enumerate_by_mw) as fallback:
             assert {p: solve_value(g, p, "mw") for p in want} == want
         roots = [modular_decomposition(g).root]
-        primes = 0
+        primes = opened = 0
         while roots:
             node = roots.pop()
-            primes += node.kind == "prime" and any(c.kind != "leaf" for c in node.children)
+            if node.kind == "prime" and any(c.kind != "leaf" for c in node.children):
+                sub, _ = induced_subgraph(g, node.vertices)
+                lb, ub = pmckit.solvers._tw_bracket(sub.adj, sub.full_mask)
+                primes, opened = primes + 1, opened + (lb != ub)
             if node.kind != "prime":
                 roots.extend(node.children)
-        assert fallback.call_count == 2 * primes > 0
+        assert fallback.call_count == primes + opened and primes > 0
 
     @pytest.mark.parametrize("parts", [(1, 1), (2, 2), (1, 2, 3), (3, 3, 1, 4), (5, 2, 2)])
     def test_join_of_independent_sets(self, parts):
@@ -293,3 +298,36 @@ class TestTreeSolver:
         t0 = time.perf_counter()
         assert (solve_value(g, "tw", "mw"), solve_value(g, "fillin", "mw")) == (150, 0)
         assert time.perf_counter() - t0 < 1.0
+
+
+class TestTwBracket:
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(strategies.graphs(max_n=10), strategies.module_graphs(max_n=12),
+                     strategies.disconnected_graphs()))
+    def test_brackets_the_oracle(self, g):
+        lb, ub = pmckit.solvers._tw_bracket(g.adj, g.full_mask)
+        assert lb <= brute_force_treewidth(g) <= ub
+
+    def test_solve_tw_matches_the_oracle_where_the_bracket_closes_and_where_not(self, mw_solve_quotients):
+        # 12-vertex prime quotients of single vertices; the same with a module
+        # at vertex 0, a prime node above _QUOTIENT_DP_CAP children that goes
+        # to the catalog of its subgraph; and 8-vertex quotients of modules,
+        # below the cap, where the weighted search runs without a bracket (the
+        # vc route brackets every side)
+        quotients = mw_solve_quotients[:5]
+        sides = {
+            "leaves": quotients,
+            "above cap": [expand_graph(q, [module] + [empty_graph(1)] * (q.n - 1))[0]
+                          for q in quotients for module in (complete(2), path(3))],
+            "below cap": [expand_graph(gnp(8, 0.45, seed), [(complete(2), empty_graph(2), empty_graph(1))[i % 3]
+                                                            for i in range(8)])[0] for seed in (0, 2, 3)],
+        }
+        for side, graphs in sides.items():
+            closes = set()
+            for g in graphs:
+                root = modular_decomposition(g).root
+                assert root.kind == "prime" and (pmckit.solvers._by_catalog(root) == (side == "above cap"))
+                lb, ub = pmckit.solvers._tw_bracket(g.adj, g.full_mask)
+                closes.add(lb == ub)
+                assert solve_value(g, "tw", "mw") == solve_value(g, "tw", "vc") == brute_force_treewidth(g), side
+            assert closes == {True, False}, side
