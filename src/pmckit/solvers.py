@@ -18,8 +18,8 @@ which graph._component_table stores. The tree solver of the mw route
 combines both along the modular decomposition: closed forms at union and
 join nodes, the block DP on each prime quotient of single vertices, and
 the same elimination search, with module weights, on a prime quotient of
-modules. Treewidth lists no PMCs where _tw_bracket, minor-min-width and
-the greedy min-fill width, closes on the graph about to be listed.
+modules. Treewidth lists no PMCs where _tw_bracket (minor-min-width
+below, the greedy min-fill width above) closes on the graph to be listed.
 """
 
 from __future__ import annotations
