@@ -41,7 +41,7 @@ from .recognition import (
     brute_force_lists,
     is_minimal_uv_separator,
 )
-from .solvers import _solve_tree, _tw_bracket, min_fill_in, treewidth
+from .solvers import _simplicial_core, _solve_tree, _tw_bracket, min_fill_in, treewidth
 from .vc import minimum_vertex_cover, pmcs_by_vc, separators_by_vc
 
 # Largest --jobs accepted; each job is one worker process.
@@ -161,10 +161,12 @@ def solve_value(g: Graph, problem: str, method: str, jobs: int = 1, report=None)
     root combines the components. The others split g into connected
     components, run the block DP over each one's PMC catalog, and combine
     with max (treewidth) or sum (fill-in); the split keeps their listings
-    to each component. Treewidth by vc lists no component whose bracket
-    (solvers._tw_bracket) closes; brute lists every one, as the referee.
-    Each route basis is computed once, and recorded in ``report`` when one
-    is given, so the reported vc is the same either way.
+    to each component. The vc route answers a chordal component, whose
+    simplicial core (solvers._simplicial_core) is empty, at once, and
+    treewidth by vc lists no component whose bracket (solvers._tw_bracket)
+    closes; brute lists every one, as the referee. Each route basis is
+    computed once, and recorded in ``report`` when one is given, so the
+    reported vc is the same either way.
     """
     if method == "mw":
         return _solve_tree(_route_basis(g, method, report), problem)
@@ -174,11 +176,16 @@ def solve_value(g: Graph, problem: str, method: str, jobs: int = 1, report=None)
     for comp in components(g, VertexSet()):
         sub, _ = induced_subgraph(g, comp)
         basis = _route_basis(sub, method, report)
-        if problem == "tw" and method == "vc":
-            lb, ub = _tw_bracket(sub.adj, sub.full_mask)
-            if lb == ub:
-                values.append(lb)
+        if method == "vc":
+            low, core = _simplicial_core(sub.adj, sub.full_mask)
+            if not core:
+                values.append(low if problem == "tw" else 0)
                 continue
+            if problem == "tw":
+                lb, ub = _tw_bracket(sub.adj, sub.full_mask)
+                if lb == ub:
+                    values.append(lb)
+                    continue
         catalog = _route_lists(sub, method, jobs, basis, "pmcs")[1]
         values.append(treewidth(sub, catalog) if problem == "tw" else min_fill_in(sub, catalog))
     return max(values) if problem == "tw" else sum(values)

@@ -15,11 +15,13 @@ the graph reached does not depend on the order within S; the vertex v
 eliminated next borders Q(S, v), the neighbourhood of v's component in
 G[S + v] (Bodlaender, Fomin, Koster, Kratsch and Thilikos, ESA 2006),
 which graph._component_table stores. The tree solver of the mw route
-combines both along the modular decomposition: closed forms at union and
-join nodes, the block DP on each prime quotient of single vertices, and
-the same elimination search, with module weights, on a prime quotient of
-modules. Treewidth lists no PMCs where _tw_bracket (minor-min-width
-below, the greedy min-fill width above) closes on the graph to be listed.
+walks the modular decomposition: closed forms at union and join nodes, and
+at every prime node the block DP over its quotient's PMC listing, each
+quotient vertex weighted by its module, plus one entry per module child.
+A prime quotient of single vertices first loses its simplicial vertices
+(_simplicial_core), and treewidth lists no PMCs where _tw_bracket
+(minor-min-width below, the greedy min-fill width above) closes on what
+is left.
 """
 
 from __future__ import annotations
@@ -30,14 +32,9 @@ from operator import add
 
 from .bitset import VertexSet, iter_bits
 from .errors import InputError
-from .graph import Graph, _component_table, induced_subgraph
-from .modular import ModuleNode, ModuleTree, _post_order, enumerate_by_mw
+from .graph import Graph, _component_table, _components_with_nbrs
+from .modular import ModuleNode, ModuleTree, _node_parts, _post_order
 from .recognition import PmcCatalog, _pmc_listing, _refuse_oversize
-
-# Largest quotient of a prime node with module children that the tree solver
-# searches by subsets (2^q sets); above it the node's subgraph is solved from
-# its PMC catalog.
-_QUOTIENT_DP_CAP = 11
 
 _INF = float("inf")
 
@@ -78,7 +75,7 @@ def dp_blocks(g: Graph, catalog: PmcCatalog) -> list[Block]:
     return [Block(VertexSet(s), VertexSet(c)) for s, c in order]
 
 
-def _block_dp(adj: tuple[int, ...], full: int, entries, problem: str) -> int:
+def _block_dp(adj: tuple[int, ...], full: int, entries, problem: str, kids=None) -> int:
     """Treewidth ('tw') or minimum fill-in ('fillin') of the graph g on adj and full from its PMCs.
 
     ``entries`` are the (Omega, pieces) pairs of every PMC of g, as a
@@ -91,14 +88,46 @@ def _block_dp(adj: tuple[int, ...], full: int, entries, problem: str) -> int:
     every Omega with S empty, folding one block (empty, C) for each
     component C of g without Omega, so it combines the components of a
     disconnected graph.
+
+    With ``kids``, g is the quotient H of a prime module M and kids[i] =
+    (value, w_i, e_i) gives child M_i's treewidth or fill-in, vertex count
+    and edge count. w(X) counts the vertices of X's expansion and F(X) its
+    missing pairs (m_i = C(w_i, 2) - e_i inside each M_i, w_i * w_j for each
+    non-edge ij of H). A listed Omega takes its modules whole, at w(Omega)
+    - 1 or F(Omega) - F(S). Each child with w_i > 1 adds the entry N_H[i],
+    whose pieces are the components of H - N_H[i], for the bags N(M_i) +
+    Omega', Omega' over an optimal triangulation of G[M_i]: w(N_H(i)) +
+    tw_i or F(N_H[i]) - F(S) - m_i + fill_i. Where N_H[i] is listed too,
+    with the same pieces, the entry undercuts it by w_i - 1 - tw_i or m_i
+    - fill_i >= 0, so one saving per Omega does. Every entry triangulates
+    its block, so each value reached is achievable. Completeness
+    (Bodlaender and Rotics, Algorithmica 2003): each PMC of G[M] is a
+    listed Omega expanded or N(M_i) + Omega', Omega' a PMC of G[M_i]
+    (modular._node_candidates), and the DP over those reaches tw or fill
+    of G[M]. All N(M_i) + Omega' share their pieces outside M_i, so the
+    least over Omega' is the one N_H[i] entry; an expanded Omega's pieces
+    are H's expanded, a piece {j} splitting into M_j's components, whose
+    blocks only N[M_j] resolves.
     """
-    if problem == "tw":
-        step, fold = (lambda om, s: om.bit_count() - 1), max
+    tw = problem == "tw"
+    saving: dict[int, int] = {}
+    if kids is not None:
+        entries = dict(entries)
+        for i in iter_bits(full):
+            value, w, e = kids[i]
+            if w > 1:
+                closed = adj[i] | 1 << i
+                saving[closed] = w - 1 - value if tw else w * (w - 1) // 2 - e - value
+                entries.setdefault(closed, tuple((nb, c) for c, nb in _components_with_nbrs(adj, full & ~closed)))
+        entries = entries.items()
+    if tw:
+        weight = int.bit_count if kids is None else cache(lambda x: sum(kids[v][1] for v in iter_bits(x)))
+        step, fold = (lambda om, s: weight(om) - 1 - saving.get(om, 0)), max
     else:
-        fill, fold = cache(partial(_fill_pairs, adj)), add
+        fill, fold = cache(partial(_fill_pairs, adj, kids=kids)), add
 
         def step(om: int, s: int) -> int:
-            added = fill(om) - fill(s)
+            added = fill(om) - fill(s) - saving.get(om, 0)
             assert added >= 0, "completing a superset never removes missing pairs"
             return added
 
@@ -138,11 +167,16 @@ def treewidth(g: Graph, catalog: PmcCatalog) -> int:
     return _block_dp(g.adj, g.full_mask, _catalog_entries(g, catalog), "tw")
 
 
-def _fill_pairs(adj: tuple[int, ...], xmask: int) -> int:
-    """Number of non-adjacent vertex pairs inside xmask."""
+def _fill_pairs(adj: tuple[int, ...], xmask: int, kids=None) -> int:
+    """Number of non-adjacent vertex pairs inside xmask, or inside its expansion by kids (see _block_dp)."""
     cnt = 0
     for u in iter_bits(xmask):
-        cnt += (xmask & ~adj[u] & ~((1 << (u + 1)) - 1)).bit_count()
+        rest = xmask & ~adj[u] & ~((1 << (u + 1)) - 1)
+        if kids is None:
+            cnt += rest.bit_count()
+        else:
+            _, w, e = kids[u]
+            cnt += w * (w - 1) // 2 - e + w * sum(kids[v][1] for v in iter_bits(rest))
     return cnt
 
 
@@ -152,47 +186,25 @@ def min_fill_in(g: Graph, catalog: PmcCatalog) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Elimination search: the oracles and the prime step of the tree solver
+# Elimination search: the oracles
 # ---------------------------------------------------------------------------
 
-def _elimination_search(adj: tuple[int, ...], modules, problem: str) -> int:
-    """Treewidth ('tw'), or the fewest edges of a chordal supergraph ('fillin'), of a substitution.
+def _elimination_search(adj: tuple[int, ...], problem: str) -> int:
+    """Treewidth ('tw'), or the fewest edges of a chordal supergraph ('fillin'), of the graph on adj.
 
-    The graph is the one on adj with vertex i replaced by a module:
-    ``modules[i]`` is (value, w, e), the module's treewidth or fill-in, its
-    vertex count and its edge count; a plain vertex is (0, 1, 0). Some
-    optimal elimination order eliminates each module whole (Bodlaender and
-    Rotics, Algorithmica 2003). Module v eliminated after a set S borders,
-    in full, Q(S, v): N(C) for v's component C of G[S + v], which lies
-    outside S + v (Bodlaender, Fomin, Koster, Kratsch and Thilikos, "On
-    exact algorithms for treewidth", ESA 2006). The walk c = S + v,
-    c - first[c], ... of graph._component_table meets C as first[c], where
-    nbr[c] = N(C). Module v is already a clique when one of its neighbours
-    lies in S. Its largest bag then has w(Q) + w_v - 1 vertices, else
-    w(Q) + tw_v. It adds w_v * w(Q) edges to the chordal supergraph, plus
-    C(w_v, 2), else e_v + fill_v, inside; the fill-in is that total less the
-    graph's edges. So best(S + v) is the least fold(best(S), cost(S, v)),
-    fold max for treewidth and + for fill, and best(V) is the answer.
+    Vertex v eliminated after a set S borders, in the filled graph, Q(S,
+    v): N(C) for v's component C of G[S + v], which lies outside S + v
+    (Bodlaender, Fomin, Koster, Kratsch and Thilikos, "On exact algorithms
+    for treewidth", ESA 2006). The walk c = S + v, c - first[c], ... of
+    graph._component_table meets C as first[c], where nbr[c] = N(C). Its
+    bag has |Q| + 1 vertices, and it adds |Q| edges to the chordal
+    supergraph; the fill-in is that total less the graph's edges. So
+    best(S + v) is the least fold(best(S), |Q(S, v)|), fold max for
+    treewidth and + for fill, and best(V) is the answer.
     """
     n = len(adj)
     full = (1 << n) - 1
-    sizes = [w for _, w, _ in modules]
-    if problem == "tw":
-        fold, scale = max, [1] * n
-        merged = [w - 1 for w in sizes]
-        own = [value for value, _, _ in modules]
-    else:
-        fold, scale = add, sizes
-        merged = [w * (w - 1) // 2 for w in sizes]
-        own = [value + e for value, _, e in modules]
-    if max(sizes) == 1:
-        weight = int.bit_count
-    else:
-        weights = [0] * (full + 1)
-        for m in range(1, full + 1):
-            low = m & -m
-            weights[m] = weights[m ^ low] + sizes[low.bit_length() - 1]
-        weight = weights.__getitem__
+    fold = max if problem == "tw" else add
     first, nbr = _component_table(adj, n)
     dp = [_INF] * (full + 1)
     dp[0] = 0
@@ -202,11 +214,10 @@ def _elimination_search(adj: tuple[int, ...], modules, problem: str) -> int:
         while rest:
             low = rest & -rest
             rest ^= low
-            v = low.bit_length() - 1
             c = s | low
             while not first[c] & low:
                 c ^= first[c]
-            cand = fold(base, scale[v] * weight(nbr[c]) + (merged[v] if adj[v] & s else own[v]))
+            cand = fold(base, nbr[c].bit_count())
             if cand < dp[s | low]:
                 dp[s | low] = cand
     return dp[full]
@@ -216,7 +227,7 @@ def _oracle_search(g: Graph, cap: int | None, what: str, problem: str) -> int:
     if g.n == 0:
         raise InputError("graph must be nonempty")
     _refuse_oversize(g.n, cap, what)
-    value = _elimination_search(g.adj, [(0, 1, 0)] * g.n, problem)
+    value = _elimination_search(g.adj, problem)
     return value if problem == "tw" else value - g.m
 
 
@@ -270,25 +281,33 @@ def _tw_bracket(adj: tuple[int, ...], full: int) -> tuple[int, int]:
 # Solving along the modular decomposition tree
 # ---------------------------------------------------------------------------
 
-def _by_catalog(node: ModuleNode) -> bool:
-    """True for a prime node the tree solver hands to the catalog of its subgraph."""
-    return (node.kind == "prime" and len(node.children) > _QUOTIENT_DP_CAP
-            and any(c.kind != "leaf" for c in node.children))
+def _simplicial_core(adj: tuple[int, ...], space: int) -> tuple[int, int]:
+    """(low, core): the subgraph on ``space`` stripped of simplicial vertices, one at a time.
+
+    A vertex v whose neighbourhood is a clique can go first at no cost:
+    tw(G) = max(d(v), tw(G - v)), as some bag of every tree decomposition
+    holds the clique N[v], and one of G - v takes N[v] as a new bag beside
+    a bag holding the clique N(v); and fill(G) = fill(G - v), as a
+    triangulation of G - v plus v is one of G. Removing v can only make
+    its neighbours simplicial, so only they are checked again. low is the
+    largest degree removed; core is empty exactly when the subgraph is
+    chordal, since every chordal graph has a simplicial vertex (Dirac 1961).
+    """
+    low, core, todo = 0, space, space
+    while todo:
+        v = (todo & -todo).bit_length() - 1
+        todo ^= 1 << v
+        nb = adj[v] & core
+        if all(not nb & ~adj[u] & ~(1 << u) for u in iter_bits(nb)):
+            low, core, todo = max(low, nb.bit_count()), core ^ (1 << v), todo | nb
+    return low, core
 
 
-def _node_value(g: Graph, node: ModuleNode, kids: list, problem: str) -> tuple[int, int, int]:
+def _node_value(node: ModuleNode, kids: list, problem: str) -> tuple[int, int, int]:
     """(value, |M|, e(M)) of the module M of a node, from the triples of its children."""
     if node.kind == "leaf":
         return 0, 1, 0
-    w, tw = len(node.vertices), problem == "tw"
-    if _by_catalog(node):
-        sub, _ = induced_subgraph(g, node.vertices)
-        value, ub = _tw_bracket(sub.adj, sub.full_mask) if tw else (0, _INF)
-        if value != ub:
-            entries = _catalog_entries(sub, enumerate_by_mw(sub, what="pmcs")[1])
-            value = _block_dp(sub.adj, sub.full_mask, entries, problem)
-        return value, w, sub.m
-    q = node.quotient
+    w, tw, q = len(node.vertices), problem == "tw", node.quotient
     e = sum(k[2] for k in kids) + sum(kids[i][1] * kids[j][1] for i, j in q.edges())
     if node.kind == "union":
         value = (max if tw else sum)(k[0] for k in kids)
@@ -300,12 +319,14 @@ def _node_value(g: Graph, node: ModuleNode, kids: list, problem: str) -> tuple[i
         else:
             missing = [kw * (kw - 1) // 2 - ke for _, kw, ke in kids]
             value = sum(missing) + min(kv - m for (kv, _, _), m in zip(kids, missing))
-    elif all(c.kind == "leaf" for c in node.children):
-        value, ub = _tw_bracket(q.adj, q.full_mask) if tw else (0, _INF)
-        if value != ub:
-            value = _block_dp(q.adj, q.full_mask, _pmc_listing(q.adj, q.full_mask)[1].items(), problem)
     else:
-        value = _elimination_search(q.adj, kids, problem) - (0 if tw else e)
+        leaves = all(c.kind == "leaf" for c in node.children)
+        low, core = _simplicial_core(q.adj, q.full_mask) if leaves else (0, q.full_mask)
+        lb, ub = _tw_bracket(q.adj, core) if tw and leaves else (0, _INF if core else 0)
+        value = max(low, lb) if tw else 0
+        if value < ub:
+            entries = _pmc_listing(q.adj, core)[1].items()
+            value = max(value, _block_dp(q.adj, core, entries, problem, None if leaves else kids))
     return value, w, e
 
 
@@ -315,13 +336,12 @@ def _solve_tree(tree: ModuleTree, problem: str) -> int:
     Walks the tree bottom-up with modular._post_order and keeps (value,
     |M|, e(M)) for each module M. A union takes the max (treewidth) or sum
     (fill-in) of its children, and a join the best child solved inside
-    with every other child completed. A prime node whose children are all
-    single vertices is its own quotient, solved by the block DP over the
-    quotient's PMC listing; a prime node with module children runs the
-    weighted elimination search over its quotient, or above
-    _QUOTIENT_DP_CAP children the block DP over the catalog of its
-    subgraph, whose subtree is then not walked. Treewidth lists neither
-    the quotient nor the subgraph when its _tw_bracket closes.
+    with every other child completed. Every prime node runs _block_dp over
+    its quotient's PMC listing, weighted by its children. That is complete,
+    as each PMC of the node's subgraph holds or misses every child whole (a
+    quotient PMC expanded) or is N(M_i) plus a PMC of one child M_i, whose
+    best is the child's own value (see _block_dp). A quotient of single
+    vertices first loses its simplicial vertices, and treewidth lists
+    nothing there when the _tw_bracket of the rest closes.
     """
-    return _post_order(tree.root, lambda node: (node, () if _by_catalog(node) else node.children),
-                       lambda node, kids: _node_value(tree.graph, node, kids, problem))[0]
+    return _post_order(tree.root, _node_parts, lambda node, kids: _node_value(node, kids, problem))[0]

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
-from pmckit import Graph, VertexSet, complete, cycle, empty_graph, expand_graph, gnp, path
+from pmckit import (Graph, VertexSet, complete, cycle, empty_graph, expand_graph, gnp, modular_decomposition,
+                    path)
 
 
 @st.composite
@@ -80,3 +82,29 @@ def module_graphs(draw, max_n: int = 14, depth: int = 3) -> Graph:
             room -= module.n - 1
         modules.append(module)
     return expand_graph(draw(_quotients(k)), modules)[0]
+
+
+def is_prime(g: Graph) -> bool:
+    """True when g is its own prime quotient: no module but V and single vertices."""
+    root = modular_decomposition(g).root
+    return root.kind == "prime" and len(root.children) == g.n
+
+
+@st.composite
+def prime_module_graphs(draw, min_k: int, max_k: int, max_n: int) -> Graph:
+    """A prime path, cycle or gnp quotient of min_k..max_k (>= 5) vertices, one to three
+    of them module graphs that themselves hold modules (module_graphs, depth 1); at most
+    max_n vertices in all."""
+    k = draw(st.integers(min_k, max_k))
+    kind = draw(st.sampled_from(("path", "cycle", "gnp")))
+    if kind == "gnp":
+        quotient = gnp(k, draw(st.sampled_from((0.3, 0.5))), draw(st.integers(0, 1 << 16)))
+        assume(is_prime(quotient))
+    else:
+        quotient = (path if kind == "path" else cycle)(k)
+    modules, room = [empty_graph(1)] * k, max_n - k
+    for i in draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=3, unique=True)):
+        if room:
+            modules[i] = draw(module_graphs(max_n=min(room + 1, 5), depth=1))
+            room -= modules[i].n - 1
+    return expand_graph(quotient, modules)[0]

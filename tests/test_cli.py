@@ -22,9 +22,11 @@ import pmckit.solvers
 import pmckit.vc
 import strategies
 from pmckit import (
+    Graph,
     PmcCatalog,
     complete,
     cube,
+    cycle,
     empty_graph,
     enumerate_by_mw,
     expand_graph,
@@ -623,10 +625,17 @@ class TestOracleCapEnv:
         assert captured.err == "error: PMCKIT_ORACLE_CAP must be at least 0, got -1\n"
 
 
+def simplicial_core(adj) -> tuple[int, int]:
+    """(largest degree stripped, vertices left): what the mw route brackets and lists of a prime quotient."""
+    return pmckit.solvers._simplicial_core(adj, (1 << len(adj)) - 1)
+
+
 def bracket_open(adj) -> bool:
-    """True when the treewidth bracket of the graph on adj does not close, so solve tw lists its PMCs."""
-    lb, ub = pmckit.solvers._tw_bracket(adj, (1 << len(adj)) - 1)
-    return lb != ub
+    """True when solve tw lists the PMCs of the prime quotient on adj: the treewidth bracket of its
+    simplicial core, raised to the largest degree stripped, does not close."""
+    low, core = simplicial_core(adj)
+    lb, ub = pmckit.solvers._tw_bracket(adj, core)
+    return max(low, lb) != max(low, ub)
 
 
 def count_calls(monkeypatch, name, modules):
@@ -701,9 +710,11 @@ class TestWorkDoneOnce:
         assert len(calls) == 1
 
     def test_solve_mw_searches_each_pmc_once(self, capsys, monkeypatch, tmp_path, mw_solve_quotients):
-        # solve walks the modular tree: no catalog of the whole graph, and the
-        # PMCs of an all-leaf prime module are listed at most once, on its
-        # quotient: always for fill-in, for tw only when the bracket stays open
+        # solve walks the modular tree: no catalog of the whole graph, the
+        # path quotient of modules listed once, whole, and the PMCs of an
+        # all-leaf prime module listed at most once, on its quotient's
+        # simplicial core: always for fill-in, for tw only when the bracket
+        # stays open
         quotients = mw_solve_quotients[:4]
         assert 0 < sum(bracket_open(q.adj) for q in quotients) < len(quotients)
         g, _ = expand_graph(path(4), quotients)
@@ -711,7 +722,7 @@ class TestWorkDoneOnce:
         want = {"treewidth": treewidth(g, whole_catalog), "fill_in": min_fill_in(g, whole_catalog)}
         gr = tmp_path / "g.gr"
         gr.write_text(write_gr(g))
-        whole = count_calls(monkeypatch, "enumerate_by_mw", [pmckit.cli, pmckit.solvers])
+        whole = count_calls(monkeypatch, "enumerate_by_mw", [pmckit.cli, pmckit.modular])
         listings = count_calls(monkeypatch, "_pmc_listing", [pmckit.solvers, pmckit.modular])
         collected = []
         collect = PmcCatalog.collect.__func__
@@ -724,8 +735,9 @@ class TestWorkDoneOnce:
         for problem, key in (("tw", "treewidth"), ("fillin", "fill_in")):
             code, blob = run_json(capsys, ["solve", problem, "--input", str(gr), "--method", "mw"])
             assert code == 0 and blob["results"]["counts"] == {key: want[key]}
-            listed = [q.adj for q in quotients if problem == "fillin" or bracket_open(q.adj)]
-            assert sorted(adj for adj, _ in listings) == sorted(listed)
+            listed = [(q.adj, simplicial_core(q.adj)[1]) for q in quotients
+                      if problem == "fillin" or bracket_open(q.adj)]
+            assert sorted(listings) == sorted(listed + [(path(4).adj, path(4).full_mask)])
             listings.clear()
         assert whole == [] and g not in collected
 
@@ -765,8 +777,9 @@ class TestWorkDoneOnce:
             code, blob = run_json(capsys, ["solve", problem, "--input", str(gr), "--method", "mw"])
             assert code == 0 and blob["results"] == want[problem]
             assert [args[0] for args in trees] == [g]
-            listed = [adj for adj in quotients if problem == "fillin" or bracket_open(adj)]
-            assert sorted(adj for adj, _ in listings) == sorted(listed)
+            listed = [(adj, simplicial_core(adj)[1]) for adj in quotients
+                      if problem == "fillin" or bracket_open(adj)]
+            assert sorted(listings) == sorted(listed)
             trees.clear()
             listings.clear()
         assert built == []
@@ -782,6 +795,44 @@ class TestWorkDoneOnce:
         assert code == 0 and blob["results"]["counts"] == {"treewidth": 2}
         assert blob["params"] == {"vc": 10 if method == "vc" else None, "mw": 26 if method == "mw" else None}
         assert listings == [] and walks == []
+
+    @pytest.mark.parametrize("k", [7, 13])
+    def test_solve_mw_never_lists_a_whole_subgraph(self, capsys, monkeypatch, tmp_path, k):
+        # a prime quotient of cycle, path and independent modules, below and
+        # above 11 children: the weighted DP runs on the quotient, and no
+        # catalog of the graph or of a subgraph is ever built
+        g, _ = expand_graph(gnp(k, 0.45, 0), [(cycle(5), path(3), empty_graph(2), empty_graph(1))[i % 4]
+                                              for i in range(k)])
+        assert len(modular_decomposition(g).root.children) == k
+        catalog = enumerate_by_mw(g)[1]
+        want = {"treewidth": treewidth(g, catalog), "fill_in": min_fill_in(g, catalog)}
+        gr = tmp_path / "g.gr"
+        gr.write_text(write_gr(g))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve --method mw built a catalog")
+
+        for mod in (pmckit.cli, pmckit.modular):
+            monkeypatch.setattr(mod, "enumerate_by_mw", refuse)
+        for problem, key in (("tw", "treewidth"), ("fillin", "fill_in")):
+            code, blob = run_json(capsys, ["solve", problem, "--input", str(gr), "--method", "mw"])
+            assert code == 0 and blob["results"]["counts"] == {key: want[key]}
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (["solve", "fillin", "--family", "path", "--n", "120", "--method", "mw"], "fill_in", 0),
+        (["solve", "tw", "--input", "STAR", "--method", "vc"], "treewidth", 1),
+    ])
+    def test_solve_chordal_lists_nothing_and_runs_no_bracket(self, capsys, monkeypatch, tmp_path,
+                                                             argv, key, value):
+        # path(120) is its own prime quotient and a 4,000-leaf star one vc
+        # component; both are chordal, so their simplicial cores are empty
+        star = tmp_path / "star.gr"
+        star.write_text(write_gr(Graph.from_edges(4001, [(0, i) for i in range(1, 4001)])))
+        listings = count_calls(monkeypatch, "_pmc_listing", [pmckit.solvers, pmckit.modular])
+        brackets = count_calls(monkeypatch, "_tw_bracket", [pmckit.solvers, pmckit.cli])
+        code, blob = run_json(capsys, [str(star) if a == "STAR" else a for a in argv])
+        assert code == 0 and blob["results"]["counts"] == {key: value}
+        assert listings == [] and brackets == []
 
     def test_solve_tw_brute_refuses_above_the_cap_where_the_bracket_closes(self, capsys):
         # the brute route stays the exhaustive referee: no bracket answers for it

@@ -215,6 +215,16 @@ class TestSolveValue:
         assert solve_value(g, "fillin", "mw") == 0
 
 
+# the distinct prime graphs among gnp(k, 0.5, seed) for k 4..6 and 40 seeds
+SMALL_PRIMES = list({g.adj: g for g in (gnp(k, 0.5, seed) for k in (4, 5, 6) for seed in range(40))
+                     if strategies.is_prime(g)}.values())
+
+
+def spy(name):
+    """Patch pmckit.solvers.<name> with a mock that records each call and runs the original."""
+    return mock.patch.object(pmckit.solvers, name, wraps=getattr(pmckit.solvers, name))
+
+
 def complete_multipartite(parts) -> Graph:
     graph, _ = expand_graph(complete(len(parts)), [empty_graph(a) for a in parts])
     return graph
@@ -231,31 +241,43 @@ class TestTreeSolver:
             if g.n <= 14:
                 assert value == oracle(g), problem
 
+    # prime quotients of module children of up to 11 children and of 12-14;
+    # on the wider ones the vc route takes up to about 0.7 s an example
+    @pytest.mark.parametrize("min_k, max_k, max_n", [(5, 11, 14), (12, 14, 18)])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_prime_quotients_of_modules_match_oracles_and_vc_route(self, min_k, max_k, max_n, data):
+        g = data.draw(strategies.prime_module_graphs(min_k, max_k, max_n))
+        root = modular_decomposition(g).root
+        assert root.kind == "prime" and min_k <= len(root.children) <= max_k
+        for problem, oracle in (("tw", brute_force_treewidth), ("fillin", brute_force_fill_in)):
+            value = solve_value(g, problem, "mw")
+            assert value == solve_value(g, problem, "vc"), problem
+            if g.n <= 14:
+                assert value == oracle(g), problem
+
     @pytest.mark.parametrize("seed", range(6))
-    def test_catalog_fallback_above_the_quotient_cap(self, monkeypatch, seed):
-        # a gnp quotient of path, clique and independent modules: a prime
-        # node with module children, solved from the catalog of its subgraph
-        # once the cap is below its quotient size; tw lists that catalog only
-        # when the subgraph's bracket stays open
-        quotient = gnp(7, 0.45, seed)
-        g, _ = expand_graph(quotient, [(path(3), complete(2), empty_graph(2), empty_graph(1))[i % 4]
-                                       for i in range(7)])
-        want = {p: solve_value(g, p, "vc") for p in ("tw", "fillin")}
-        monkeypatch.setattr(pmckit.solvers, "_QUOTIENT_DP_CAP", 2)
-        with mock.patch.object(pmckit.solvers, "enumerate_by_mw",
-                               wraps=pmckit.solvers.enumerate_by_mw) as fallback:
-            assert {p: solve_value(g, p, "mw") for p in want} == want
-        roots = [modular_decomposition(g).root]
-        primes = opened = 0
-        while roots:
-            node = roots.pop()
-            if node.kind == "prime" and any(c.kind != "leaf" for c in node.children):
-                sub, _ = induced_subgraph(g, node.vertices)
-                lb, ub = pmckit.solvers._tw_bracket(sub.adj, sub.full_mask)
-                primes, opened = primes + 1, opened + (lb != ub)
-            if node.kind != "prime":
-                roots.extend(node.children)
-        assert fallback.call_count == primes + opened and primes > 0
+    def test_catalog_fallback_above_the_quotient_cap(self, seed):
+        # a 13-vertex gnp quotient of cycle, path, clique, independent and
+        # single-vertex modules (more than 11 children, which the name recalls
+        # a catalog fallback for): the module quotient is listed once, whole,
+        # and never bracketed; each all-leaf quotient inside (C5, P4) is
+        # bracketed for tw, and listed on its simplicial core only when that
+        # stays open: C5 for fill-in only, the chordal P4 never
+        quotient = gnp(13, 0.45, seed)
+        modules = [(cycle(5), path(4), complete(2), empty_graph(2), empty_graph(1))[i % 5] for i in range(13)]
+        g, _ = expand_graph(quotient, modules)
+        root = modular_decomposition(g).root
+        assert root.kind == "prime" and len(root.children) == 13
+        catalog = enumerate_by_mw(g)[1]
+        want = {"tw": treewidth(g, catalog), "fillin": min_fill_in(g, catalog)}
+        cycles, paths = modules.count(cycle(5)), modules.count(path(4))
+        for problem in want:
+            with spy("_pmc_listing") as listing, spy("_tw_bracket") as bracket:
+                assert solve_value(g, problem, "mw") == want[problem], problem
+            spaces = sorted(call.args[1].bit_count() for call in listing.call_args_list)
+            assert spaces == [5] * cycles * (problem == "fillin") + [13], problem
+            assert bracket.call_count == (cycles + paths if problem == "tw" else 0), problem
 
     @pytest.mark.parametrize("parts", [(1, 1), (2, 2), (1, 2, 3), (3, 3, 1, 4), (5, 2, 2)])
     def test_join_of_independent_sets(self, parts):
@@ -281,23 +303,48 @@ class TestTreeSolver:
 
     # expanded graphs of at most 14 vertices; 30 examples take well under a second
     @settings(max_examples=30, deadline=None)
-    @given(strategies.graphs(max_n=5), st.data())
-    def test_weighted_search_matches_the_expanded_graph(self, quotient, data):
-        # the weighted elimination search on a quotient of arbitrary modules
+    @given(st.sampled_from(SMALL_PRIMES), st.data())
+    def test_weighted_dp_matches_the_expanded_graph(self, quotient, data):
+        # the weighted block DP on a prime quotient of arbitrary modules
         # against the block DP over the subset scan of the expanded graph
         modules = [data.draw(strategies.graphs(max_n=3)) for _ in range(quotient.n)]
         assume(sum(m.n for m in modules) <= 14)
         g, _ = expand_graph(quotient, modules)
+        entries = pmckit.solvers._pmc_listing(quotient.adj, quotient.full_mask)[1].items()
         for problem in ("tw", "fillin"):
-            triples = [(solve_value(m, problem, "brute"), m.n, m.m) for m in modules]
-            value = pmckit.solvers._elimination_search(quotient.adj, triples, problem)
-            assert value - (0 if problem == "tw" else g.m) == solve_value(g, problem, "brute"), problem
+            kids = [(solve_value(m, problem, "brute"), m.n, m.m) for m in modules]
+            value = pmckit.solvers._block_dp(quotient.adj, quotient.full_mask, entries, problem, kids)
+            assert value == solve_value(g, problem, "brute"), problem
 
     def test_deep_cograph_solves_fast(self):
         g = strategies.threshold(300)
         t0 = time.perf_counter()
         assert (solve_value(g, "tw", "mw"), solve_value(g, "fillin", "mw")) == (150, 0)
         assert time.perf_counter() - t0 < 1.0
+
+
+class TestSimplicialCore:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(strategies.graphs(max_n=9), strategies.module_graphs(max_n=10)))
+    def test_core_keeps_treewidth_and_fill_in(self, g):
+        # tw(G) = max(low, tw(core)) and fill(G) = fill(core); the core is
+        # empty exactly on chordal graphs, those of fill-in 0
+        low, core = pmckit.solvers._simplicial_core(g.adj, g.full_mask)
+        fill = brute_force_fill_in(g)
+        assert (core == 0) == (fill == 0)
+        if core:
+            sub, _ = induced_subgraph(g, VertexSet(core))
+            assert brute_force_treewidth(g) == max(low, brute_force_treewidth(sub))
+            assert fill == brute_force_fill_in(sub)
+        else:
+            assert brute_force_treewidth(g) == low
+
+    def test_rechecks_only_the_neighbours_of_a_removal(self):
+        # a 4,000-leaf star: each leaf goes, then the hub, at degree 1
+        g = Graph.from_edges(4001, [(0, i) for i in range(1, 4001)])
+        with spy("iter_bits") as scans:
+            assert pmckit.solvers._simplicial_core(g.adj, g.full_mask) == (1, 0)
+        assert scans.call_count <= 2 * g.n
 
 
 class TestTwBracket:
@@ -309,25 +356,27 @@ class TestTwBracket:
         assert lb <= brute_force_treewidth(g) <= ub
 
     def test_solve_tw_matches_the_oracle_where_the_bracket_closes_and_where_not(self, mw_solve_quotients):
-        # 12-vertex prime quotients of single vertices; the same with a module
-        # at vertex 0, a prime node above _QUOTIENT_DP_CAP children that goes
-        # to the catalog of its subgraph; and 8-vertex quotients of modules,
-        # below the cap, where the weighted search runs without a bracket (the
-        # vc route brackets every side)
+        # 12-vertex prime quotients of single vertices, bracketed on their
+        # simplicial cores by the mw route; the same with a module at vertex
+        # 0, and 8-vertex gnp quotients of modules, where the weighted DP
+        # runs with no bracket. The vc route brackets every graph whole.
         quotients = mw_solve_quotients[:5]
         sides = {
             "leaves": quotients,
-            "above cap": [expand_graph(q, [module] + [empty_graph(1)] * (q.n - 1))[0]
-                          for q in quotients for module in (complete(2), path(3))],
-            "below cap": [expand_graph(gnp(8, 0.45, seed), [(complete(2), empty_graph(2), empty_graph(1))[i % 3]
+            "modules": [expand_graph(q, [module] + [empty_graph(1)] * (q.n - 1))[0]
+                        for q in quotients for module in (complete(2), path(3))]
+                       + [expand_graph(gnp(8, 0.45, seed), [(complete(2), empty_graph(2), empty_graph(1))[i % 3]
                                                             for i in range(8)])[0] for seed in (0, 2, 3)],
         }
         for side, graphs in sides.items():
-            closes = set()
+            closes, leaves = set(), side == "leaves"
             for g in graphs:
                 root = modular_decomposition(g).root
-                assert root.kind == "prime" and (pmckit.solvers._by_catalog(root) == (side == "above cap"))
-                lb, ub = pmckit.solvers._tw_bracket(g.adj, g.full_mask)
-                closes.add(lb == ub)
-                assert solve_value(g, "tw", "mw") == solve_value(g, "tw", "vc") == brute_force_treewidth(g), side
+                assert root.kind == "prime" and all(c.kind == "leaf" for c in root.children) == leaves
+                low, core = pmckit.solvers._simplicial_core(g.adj, g.full_mask) if leaves else (0, g.full_mask)
+                lb, ub = pmckit.solvers._tw_bracket(g.adj, core)
+                closes.add(max(low, lb) == max(low, ub))
+                with spy("_tw_bracket") as bracket:
+                    assert solve_value(g, "tw", "mw") == solve_value(g, "tw", "vc") == brute_force_treewidth(g)
+                assert bracket.call_count == leaves, side
             assert closes == {True, False}, side
