@@ -457,19 +457,24 @@ def _render_pretty(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+# rows of a listing that _json_chunks joins into one chunk
+_ROW_BLOCK = 256
+
+
 def _json_chunks(value) -> Iterator[str]:
     """``json.dumps(value, indent=2)`` in chunks, without the json module's pure-Python encoder.
 
     ``indent`` makes the json module build one string per token through
     nested generators, one frame per level of nesting. This walks ``value``
-    with an explicit stack instead, so a deep decomposition tree prints, and
-    writes a list of ints, or a list of int lists (a listing), as one chunk
-    from one join of row texts. Keys and every other scalar go through
-    ``json.dumps``, so escaping and the spelling of floats, None and bools
-    stay the stdlib's. The join path takes only elements whose type is int
-    itself: a bool is an int too, but ``str(True)`` is "True". Chunks are
-    yielded as they are made, so the caller can write them without holding
-    the whole text twice.
+    with an explicit stack instead, so a deep decomposition tree prints. It
+    writes a list of ints as one chunk from one join, and a list of int
+    lists (a listing) in blocks of _ROW_BLOCK rows, one chunk from one join
+    of row texts per block, so a long listing is never held whole as text.
+    Keys and every other scalar go through ``json.dumps``, so escaping and
+    the spelling of floats, None and bools stay the stdlib's. The join path
+    takes only elements whose type is int itself: a bool is an int too, but
+    ``str(True)`` is "True". Chunks are yielded as they are made, so the
+    caller can write them without holding the whole text twice.
     """
     # each entry is finished text, or (value, the newline and indent its own lines start with)
     todo: list = [(value, "\n")]
@@ -497,9 +502,12 @@ def _json_chunks(value) -> Iterator[str]:
                 yield "[" + inner + ("," + inner).join(map(str, v)) + nl + "]"
             elif all(type(r) in (list, tuple) and set(map(type, r)) <= {int} for r in v):
                 deeper = inner + "  "
-                sep = "," + deeper
-                rows = ["[" + deeper + sep.join(map(str, r)) + inner + "]" if r else "[]" for r in v]
-                yield "[" + inner + ("," + inner).join(rows) + nl + "]"
+                sep, between, head = "," + deeper, "," + inner, "[" + inner
+                for i in range(0, len(v), _ROW_BLOCK):
+                    yield head + between.join(["[" + deeper + sep.join(map(str, r)) + inner + "]"
+                                               if r else "[]" for r in v[i:i + _ROW_BLOCK]])
+                    head = between
+                yield nl + "]"
             else:
                 todo.append(nl + "]")
                 for i in range(len(v) - 1, -1, -1):

@@ -271,9 +271,33 @@ def _pmc_listing(adj: tuple[int, ...], space: int) -> tuple[list[int], dict[int,
     one, with the same components, since a and any u in Omega - N(a) border
     a component merged into D. The other PMCs of the grown prefix are among
     S + a for each separator S, and S + (C & T) for each new separator S
-    without a, each full component C of S and each separator T; a candidate
-    that is a separator or a PMC of either prefix skips the recognizer.
-    Pieces are by lowest vertex, as a search of the prefix minus Omega finds them.
+    without a, each full component C of S without a and each separator T
+    holding a; a candidate that is a separator or a PMC of either prefix
+    skips the recognizer. Pieces are by lowest vertex, as a search of the
+    prefix minus Omega finds them.
+
+    Why C and T can be so chosen. By Bouchitté and Todinca's theorem, a PMC
+    of P + a that is not carried and holds a is S + a. Let Omega be one that
+    is not carried and misses a, so Omega is no PMC of P. Let D be the
+    component of (P + a) - Omega holding a, and S = N(D), a strict subset of
+    Omega. Each x in Omega - S is adjacent to each other vertex of Omega or
+    shares with it a component of (P + a) - Omega other than D, so Omega - S
+    lies in one component C of (P + a) - S, and C is full. So S is a
+    minimal separator without a, and C, apart from D, misses a. The
+    components of P - Omega are those of (P + a) - Omega other than D, as
+    they were, and those of D - a, which border only S. So Omega fails in
+    P only at a non-adjacent pair u, v of S that no component of P - Omega
+    borders both of. Were S a separator of P, a second full component of P - S
+    would be one of those and border u and v: so S is new. Let A be the
+    component of u in P - (Omega - u - v), which misses v, B the component
+    of v in P - N(A), and T = N(B), inside N(A) and so inside Omega - u - v.
+    B and the component of P - T holding A are full components of T. Each
+    x in Omega - S is adjacent to u or borders a component of P - Omega
+    that borders u, so x is in N(A); the same for v puts x in N(B). So
+    T & C = Omega - S. As u is in N(D), a is adjacent to u or to a
+    component of D - a, inside A, that borders u; likewise for v and B. So
+    T + a is a minimal separator of P + a, with both components still full,
+    and S + (C & (T + a)) = Omega.
     """
     prefix, seps, pmcs = 0, [], {}
     for a, grown in zip(iter_bits(space), _prefix_separators(adj, space)):
@@ -293,12 +317,13 @@ def _pmc_listing(adj: tuple[int, ...], space: int) -> tuple[list[int], dict[int,
                 kept[o | bit] = tuple((s | bit if comp & na else s, comp) for s, comp in pieces)
         # {a} is the one-vertex prefix's PMC
         cands = {bit, *(s | bit for s in seps)}
+        with_a = [t for t in seps if t & bit]
         for s in seps:
             if s & bit or s in old_seps:
                 continue
             for comp, nb in _components_with_nbrs(adj, prefix & ~s):
-                if nb & prefix == s:
-                    cands.update(s | (comp & t) for t in seps)
+                if nb & prefix == s and not comp & bit:
+                    cands.update(s | (comp & t) for t in with_a)
         cands.difference_update(seps, kept, pmcs)
         for o in cands:
             pieces = _pmc_pieces(adj, o, prefix)

@@ -18,10 +18,16 @@ N[x]; the full PMC catalog adds each separator S plus one vertex of S's
 component (any when S is empty): no PMC spans two. Each route has one
 recognizer filter: the separator sweep keeps what passes _min_sep_mask, and
 the PMC candidates go once through PmcCatalog.collect, so each stage may
-over-generate freely.
+over-generate freely. The separator sweep groups its candidates by their
+separator part, which no two groups share, and filters one group before
+it makes the next: it holds the separators kept and one group, not every
+candidate. The PMC walk's candidates are held in one set, for one
+collect.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .bitset import VertexSet, canonical_sets, iter_bits
 from .errors import InputError
@@ -84,6 +90,7 @@ def minimum_vertex_cover(g: Graph) -> VertexSet:
             search(alive & ~nb & ~bit, cover | nb, size + nb.bit_count())
 
     search(g.full_mask, 0, 0)
+    del search  # a closure that refers to itself through its cell (see _pmc_walk)
     return VertexSet(best_mask)
 
 
@@ -97,58 +104,75 @@ def _cover_sees(adj: tuple[int, ...], wmask: int) -> list[tuple[int, int, int]]:
     return [(1 << w, (1 << w) | adj[w] & outside, adj[w] & wmask) for w in iter_bits(wmask)]
 
 
-def _walk_parts(g: Graph, wmask: int, walk) -> set[int]:
-    """One ``walk`` per connected component's part of the cover, all into one set (see the module docstring)."""
-    out: set[int] = set()
-    for comp, _ in _components_with_nbrs(g.adj, g.full_mask):
-        walk(g.adj, wmask & comp, out)
-    return out
+def _sep_parts(adj: tuple[int, ...], wmask: int) -> Iterator[set[int]]:
+    """Separator candidates from the three-partitions (D1, S, D2) of the cover, one set per separator part.
 
+    The candidate of a partition is its separator part sep plus the
+    non-cover vertices that see both sides: sep | (s1 & s2), where a side
+    s1 or s2 ORs its cover vertices' bits and the non-cover vertices that
+    see them (the sides' cover bits are disjoint, so s1 & s2 holds only
+    non-cover vertices). A candidate's cover vertices are its sep, so two
+    partitions give the same candidate only if their seps are equal: each
+    yielded set holds every candidate of one sep, and no other set holds
+    any of them.
 
-def _sep_walk(adj: tuple[int, ...], wmask: int, out: set[int]) -> set[int]:
-    """Separator candidates from the three-partitions (D1, S, D2) of the cover, added to ``out``.
-
-    The walk assigns each cover vertex depth-first to the separator part sep
-    or to one of the sides s1 and s2, OR-ing into a side the vertex's bit and
-    the non-cover vertices that see it. At a leaf the candidate is the
-    separator part plus the vertices that see both sides (the sides' cover
-    bits are disjoint, so s1 & s2 holds only non-cover vertices).
+    The walk goes depth-first over the cover vertices, putting each in sep
+    or on a side, and carries the list of (s1, s2) that the side choices so
+    far allow. A vertex put in sep leaves the list as it is; one put on a
+    side extends each pair both ways. At the last vertex each list gives
+    its sep's set, so the walk holds the lists of one path and one sep's
+    candidates.
 
     A minimal separator S is rebuilt from D1 = W ∩ C1 and D2 = W - S - C1
     for a full component C1 of G - S. No edge joins two components of G - S,
-    so no cover edge joins D1 and D2, and the walk skips any branch that
-    would put a cover vertex on the side opposite one of its cover
-    neighbours.
+    so no cover edge joins D1 and D2, and a pair is not extended by a cover
+    vertex on the side opposite one of its cover neighbours.
 
     The mirror (D2, S, D1) of a partition gives the same candidate, since
-    s1 & s2 is symmetric, and the walk prunes both alike. So only partitions
-    whose first side vertex is in D1 are walked: a cover vertex may go to s2
-    only once some earlier one went to s1 (``split``).
+    s1 & s2 is symmetric, and is pruned alike. So the first vertex put on
+    a side goes to s1 only.
     """
     cover = _cover_sees(adj, wmask)
-    k = len(cover)
-
-    def walk(i: int, sep: int, s1: int, s2: int, split: bool) -> None:
-        if i == k:
-            out.add(sep | (s1 & s2))
-            return
+    if not cover:
+        yield {0}
+        return
+    last = len(cover) - 1
+    start = [(0, 0)]  # no vertex on a side yet
+    todo = [(0, 0, start)]
+    while todo:
+        i, sep, pairs = todo.pop()
         b, t, c = cover[i]
-        i += 1
-        walk(i, sep | b, s1, s2, split)
-        if not c & s2:
-            walk(i, sep, s1 | t, s2, True)
-        if split and not c & s1:
-            walk(i, sep, s1, s2 | t, True)
-
-    walk(0, 0, 0, 0, False)
-    return out
+        if pairs is start:
+            sided = [(t, 0)]
+        else:
+            sided = [(s1 | t, s2) for s1, s2 in pairs if not c & s2]
+            sided += [(s1, s2 | t) for s1, s2 in pairs if not c & s1]
+        if i == last:
+            yield {sep | b | (s1 & s2) for s1, s2 in pairs}
+            if sided:
+                yield {sep | (s1 & s2) for s1, s2 in sided}
+        else:
+            todo.append((i + 1, sep | b, pairs))
+            if sided:
+                todo.append((i + 1, sep, sided))
 
 
 def _sep_masks_by_vc(g: Graph, wmask: int) -> list[int]:
-    """Verified minimal-separator masks from the 3-partition sweep of the cover."""
-    adj = g.adj
-    full = g.full_mask
-    return [m for m in _walk_parts(g, wmask, _sep_walk) if _min_sep_mask(adj, m, full)]
+    """Verified minimal-separator masks from the three-partition sweep of the cover.
+
+    Each component's part of the cover is swept one separator part at a
+    time (see _sep_parts): the sweep holds the separators kept and one
+    part's candidates, and each distinct candidate goes through the
+    recognizer once. Every component gives the empty candidate, so it is
+    tested once, on its own.
+    """
+    adj, full = g.adj, g.full_mask
+    out = [0] if _min_sep_mask(adj, 0, full) else []
+    for comp, _ in _components_with_nbrs(adj, full):
+        for cands in _sep_parts(adj, wmask & comp):
+            cands.discard(0)
+            out += [m for m in cands if _min_sep_mask(adj, m, full)]
+    return out
 
 
 def separators_by_vc(g: Graph, w: VertexSet) -> list[VertexSet]:
@@ -186,51 +210,87 @@ def _pmc_walk(adj: tuple[int, ...], wmask: int, out: set[int]) -> set[int]:
     touch x and y. Each of these is a component of G - Omega, and each puts
     its cover vertices on one side, so Ds, Dx and Dy lie in distinct
     components of G - Omega and no edge joins two of them.
+
+    The pair. In the lemma x and y are non-adjacent vertices of S, and
+    Omega - S separates x from y in G[C + x + y]: no component of
+    C - Omega touches both, so Dx holds the cover vertices of the
+    components touching x and Dy those touching y. So a cover member x of
+    the pair (and y alike, with Dx for Dy):
+    - sees no vertex of Dy: such a vertex lies in a component that touches y;
+    - sees sds, or a non-cover vertex on no side (in no side's mask), since
+      x is in S = N(D). D lies in G - S outside C, so a cover vertex of D is
+      in Ds, and a non-cover vertex of D with a cover neighbour in D sees
+      Ds and is in sds. Otherwise D is one non-cover vertex, whose
+      neighbours all lie in S, inside Om, so it sees no side;
+    - differs from a cover member y and is not adjacent to it.
+    The leaf tries only the members and pairs that pass. Members whose
+    masks agree are merged before the product, keeping the union of the
+    cover vertices each x-mask's members may pair with (every vertex for
+    no member, which pairs with anything).
     """
-    cover = _cover_sees(adj, wmask)
     nonw = ~wmask
+    # a bit of no vertex, set in every x's partners: no y (-1) then pairs with any x
+    top = 1 << len(adj)
+    # per cover vertex: bit, side, cover nbrs, and as a pair member
+    # (non-cover nbrs, nbrs, cover nbrs, the cover vertices it may pair with, bit)
+    cover = [(b, t, c, (t ^ b, adj[b.bit_length() - 1], c, wmask & ~c & ~b | top, b))
+             for b, t, c in _cover_sees(adj, wmask)]
     k = len(cover)
     update = out.update
 
-    def leaf(om: int, sds: int, sdx: int, sdy: int, sides: tuple[int, ...]) -> None:
+    def leaf(om: int, sds: int, sdx: int, sdy: int, members: tuple) -> None:
         near = sdx | sdy
         base = om | (sds & near)
-        quiet_near = near & ~sds & nonw
-        if not quiet_near:
+        quiet = near & ~sds & nonw
+        if not quiet:
             out.add(base)
             return
-        xs = {quiet_near & (sdx | a) for a in sides}
-        ys = {quiet_near & (sdy | a) for a in sides}
-        update([base | (mx & my) for mx in xs for my in ys])
+        qx, qy = quiet & sdx, quiet & sdy
+        reach = sds | nonw & ~(sds | near)
+        # x-mask -> its members' partners; y-mask -> its members (-1: no member)
+        xs, ys = {qx: -1}, {qy: -1}
+        for t, a, c, partners, b in members:
+            if a & reach:
+                if not c & sdy:
+                    m = qx | quiet & t
+                    xs[m] = xs.get(m, 0) | partners
+                if not c & sdx:
+                    m = qy | quiet & t
+                    ys[m] = ys.get(m, 0) | b
+        update([base | (mx & my) for mx, px in xs.items() for my, yb in ys.items() if px & yb])
 
-    # sides: 0 and the non-cover neighbourhood of each cover vertex put in Om
-    # so far, carried down so that a leaf does not rebuild it from om
-    def walk(i: int, om: int, sds: int, sdx: int, sdy: int, split: bool,
-             sides: tuple[int, ...]) -> None:
+    # members: the pair data of each cover vertex put in Om so far, carried
+    # down so that a leaf does not rebuild it from om
+    def walk(i: int, om: int, sds: int, sdx: int, sdy: int, split: bool, members: tuple) -> None:
         if i == k:
-            leaf(om, sds, sdx, sdy, sides)
+            leaf(om, sds, sdx, sdy, members)
             return
-        b, t, c = cover[i]
+        b, t, c, member = cover[i]
         i += 1
-        walk(i, om | b, sds, sdx, sdy, split, (*sides, t ^ b))
+        walk(i, om | b, sds, sdx, sdy, split, (*members, member))
         if not c & (sdx | sdy):
-            walk(i, om, sds | t, sdx, sdy, split, sides)
+            walk(i, om, sds | t, sdx, sdy, split, members)
         if not c & (sds | sdy):
-            walk(i, om, sds, sdx | t, sdy, True, sides)
+            walk(i, om, sds, sdx | t, sdy, True, members)
         if split and not c & (sds | sdx):
-            walk(i, om, sds, sdx, sdy | t, True, sides)
+            walk(i, om, sds, sdx, sdy | t, True, members)
 
-    walk(0, 0, 0, 0, 0, False, (0,))
+    walk(0, 0, 0, 0, 0, False, ())
+    # walk refers to itself through its cell: emptying it lets the closures,
+    # and whatever they hold, go by reference counting when this returns
+    del walk
     return out
 
 
 def _active_pmc_candidates(g: Graph, wmask: int) -> set[int]:
     """PMC candidates, unfiltered, covering every PMC of g that has an active separator.
 
-    Two generation routes: the four-partition candidates of the cover (see
-    _pmc_walk) and the closed neighborhoods N[t].
+    Two generation routes: the four-partition candidates of each component's
+    part of the cover (see _pmc_walk) and the closed neighborhoods N[t].
     """
-    cands = _walk_parts(g, wmask, _pmc_walk)
+    cands: set[int] = set()
+    for comp, _ in _components_with_nbrs(g.adj, g.full_mask):
+        _pmc_walk(g.adj, wmask & comp, cands)
     cands.update(a | (1 << t) for t, a in enumerate(g.adj))
     return cands
 

@@ -223,6 +223,15 @@ class TestReportWriter:
     def test_writer_matches_stdlib_indent(self, value):
         assert "".join(pmckit.cli._json_chunks(value)) == json.dumps(value, indent=2)
 
+    @pytest.mark.parametrize("rows", [0, 1, 255, 256, 257, 600])
+    def test_listing_in_row_blocks_matches_stdlib_indent(self, rows):
+        # rows of 0 to 4 vertices, so blocks hold empty rows too
+        listing = [list(range(i, i + i % 5)) for i in range(rows)]
+        value = {"results": {"separators": listing}, "verified": True}
+        chunks = list(pmckit.cli._json_chunks(value))
+        assert "".join(chunks) == json.dumps(value, indent=2)
+        assert max(map(len, chunks)) < 256 * 60  # no chunk holds more than one block of rows
+
 
 class TestImports:
     def test_cli_import_skips_multiprocessing(self):

@@ -607,7 +607,9 @@ class TestOutputSensitiveListings:
         # each PMC of the prefix is carried to the grown prefix by its pieces,
         # as itself or with a, and no candidate that is a separator or a known
         # PMC is tried: recognizing every old PMC again made 2,955 calls here,
-        # and testing every PMC both ways 3,561
+        # and testing every PMC both ways 3,561. S + (C & T) takes only full
+        # components C without a and separators T with a: every C and T made
+        # 1,369 calls
         calls = []
         recognize = pmckit.recognition._pmc_pieces
 
@@ -618,5 +620,5 @@ class TestOutputSensitiveListings:
         monkeypatch.setattr(pmckit.recognition, "_pmc_pieces", counted)
         listed = [_pmc_listing(q.adj, q.full_mask)[1] for q in mw_solve_quotients]
         assert sum(map(len, listed)) == 470
-        assert len(calls) == 1369
+        assert len(calls) == 912
         assert not any(_min_sep_mask(adj, om, space) for adj, om, space in calls)

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import gc
+import os
 import random
+import tracemalloc
+from contextlib import redirect_stdout
 from itertools import product
 from typing import Iterator, NamedTuple
 
@@ -30,7 +34,8 @@ from pmckit import (
     watermelon,
 )
 from pmckit.bitset import iter_bits
-from pmckit.vc import _active_pmc_candidates, _pmc_walk, _sep_walk, _walk_parts
+from pmckit.cli import main
+from pmckit.vc import _active_pmc_candidates, _pmc_walk, _sep_masks_by_vc, _sep_parts
 from reference import active_separators, full_components, vset
 from strategies import disjoint_union
 
@@ -72,6 +77,26 @@ def four_partitions(wmask: int) -> Iterator[FourPartition]:
         for b, a in zip(bits, assign):
             parts[a] |= b
         yield FourPartition(*parts)
+
+
+def sep_candidates(adj, wmask: int) -> set[int]:
+    """The union of _sep_parts' sets, checking that each holds one separator part and no set repeats one."""
+    out: set[int] = set()
+    for part in _sep_parts(adj, wmask):
+        assert len({m & wmask for m in part}) == 1 and not part & out
+        out |= part
+    return out
+
+
+def traced_peak(fn) -> int:
+    """Peak traced bytes of fn(), above what was traced when it started."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def joined(g, a: int, b: int) -> bool:
@@ -148,7 +173,7 @@ class TestPartitionSpaces:
                 if joined(g, d1, d2):
                     continue
                 want.add(sep | sum(1 << x for x, ax in nonw if ax & d1 and ax & d2))
-            assert _sep_walk(g.adj, w, set()) == want, name
+            assert sep_candidates(g.adj, w) == want, name
 
     def test_four_partition_walk_matches_generator(self, quick_corpus):
         for name, g in quick_corpus[::4]:
@@ -161,18 +186,31 @@ class TestPartitionSpaces:
                 sees = [sum(1 << z for z in iter_bits(nonw) if g.adj[z] & d) for d in (ds, dx, dy)]
                 near = sees[1] | sees[2]
                 quiet = nonw & ~sees[0]
-                # the pair (x, y): no vertex, or a cover vertex of Om
-                side_masks = {0} | {g.adj[x] & nonw for x in iter_bits(om)}
-                for a in side_masks:
-                    for b in side_masks:
+                on_no_side = nonw & ~(sees[0] | near)
+                # the pair (x, y): no vertex, or a cover vertex of Om that sees
+                # Ds, a vertex seeing Ds or a non-cover vertex on no side, and
+                # no vertex of the other near side; two cover members are
+                # distinct and non-adjacent
+                xs = [None] + [x for x in iter_bits(om)
+                               if g.adj[x] & (ds | sees[0] | on_no_side) and not g.adj[x] & dy]
+                ys = [None] + [y for y in iter_bits(om)
+                               if g.adj[y] & (ds | sees[0] | on_no_side) and not g.adj[y] & dx]
+                for x in xs:
+                    for y in ys:
+                        if x is not None and y is not None and (x == y or g.adj[x] >> y & 1):
+                            continue
+                        a = 0 if x is None else g.adj[x] & nonw
+                        b = 0 if y is None else g.adj[y] & nonw
                         want.add(om | (sees[0] & near) | (quiet & near & (sees[1] | a) & (sees[2] | b)))
             assert _pmc_walk(g.adj, w, set()) == want, name
 
     def test_pair_choice_candidate_count(self):
         # pins the pair cut, so candidates per graph cannot grow back unseen:
-        # (x, y) ranges over no vertex and Om's cover vertices only
+        # (x, y) ranges over no vertex and Om's cover vertices that see Ds or
+        # a vertex on no side and no vertex of the other near side, two cover
+        # members non-adjacent; with every cover vertex of Om it was 79,016
         g = gnp(24, 0.15, 1)
-        assert len(_pmc_walk(g.adj, minimum_vertex_cover(g).mask, set())) == 79016
+        assert len(_pmc_walk(g.adj, minimum_vertex_cover(g).mask, set())) == 43978
 
 
 class TestSeparatorsByVc:
@@ -354,13 +392,14 @@ class TestPerComponentWalks:
         seps, pmcs, offset = set(), set(), 0
         for part in self.PARTS:
             pw = w >> offset & part.full_mask
-            seps |= {m << offset for m in _sep_walk(part.adj, pw, set())}
+            seps |= {m << offset for m in sep_candidates(part.adj, pw)}
             pmcs |= {m << offset for m in _active_pmc_candidates(part, pw)}
             offset += part.n
-        assert _walk_parts(g, w, _sep_walk) == seps
+        low = self.PARTS[0].full_mask
+        assert sep_candidates(g.adj, w & low) | sep_candidates(g.adj, w & ~low) == seps
         assert _active_pmc_candidates(g, w) == pmcs
         # one walk of the whole cover pairs every choice in one part with every one in the other
-        assert len(_sep_walk(g.adj, w, set())) > 10 * len(seps)
+        assert len(sep_candidates(g.adj, w)) > 10 * len(seps)
         assert len(_pmc_walk(g.adj, w, set())) > 10 * len(pmcs)
 
     def test_no_candidate_spans_two_components(self, monkeypatch):
@@ -381,3 +420,40 @@ class TestPerComponentWalks:
         want_seps, want = brute_force_lists(g, cap=g.n)
         assert separators_by_vc(g, w) == want_seps
         assert catalog.members == want.members and catalog._pieces == want._pieces
+
+
+class TestSweepMemory:
+    """The sweeps hold what they keep and one separator part's candidates, not every candidate."""
+
+    def test_separator_sweep_holds_one_part(self):
+        # every candidate at once: 3.1 MiB here (26,499 of them, 6,602 kept)
+        g = watermelon(8, 3)
+        w = minimum_vertex_cover(g).mask
+        assert traced_peak(lambda: _sep_masks_by_vc(g, w)) < 1 << 20
+
+    def test_enum_seps_on_the_benchmark_watermelon(self):
+        # every candidate and the whole listing's text at once: 3.6 MiB
+        with open(os.devnull, "w", encoding="utf-8") as sink, redirect_stdout(sink):
+            argv = ["enum", "seps", "--family", "watermelon", "--p", "8", "--q", "3", "--method", "vc"]
+            assert traced_peak(lambda: main(argv)) < 2.5 * (1 << 20)
+
+    def test_walks_free_what_they_hold_without_the_cyclic_collector(self):
+        # a recursive closure refers to itself through its cell; while that
+        # cycle stands, the candidates it reaches stay until the collector
+        # runs: 3.2 MiB after pmcs_by_vc here, and 2.9 MiB after the old
+        # sweep of watermelon(8,3). What stays now is the interpreter's free
+        # lists of small tuples and lists
+        g, wm = gnp(18, 0.2, 1), watermelon(8, 3)
+        runs = [lambda: pmcs_by_vc(g), lambda: _sep_masks_by_vc(wm, minimum_vertex_cover(wm).mask)]
+        for run in runs:
+            run()  # the first call may fill caches the second finds
+            gc.collect()
+            gc.disable()
+            tracemalloc.start()
+            try:
+                run()
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+            assert held < 512 << 10
