@@ -14,7 +14,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .bitset import VertexSet, bit_list
 from .errors import CapExceeded, InputError
@@ -46,7 +46,7 @@ from .vc import minimum_vertex_cover, pmcs_by_vc, separators_by_vc
 
 # Largest --jobs accepted; each job is one worker process.
 MAX_JOBS = 64
-# Largest verify --seeds accepted; every seed's graph is built before any check.
+# Largest verify --seeds accepted; each seed's graph is built when its turn comes.
 MAX_SEEDS = 4096
 
 
@@ -243,7 +243,8 @@ def _cmd_count(args) -> tuple[RunReport, int]:
     return report, 0
 
 
-def _verify_targets(args) -> tuple[str, list[tuple[str, Graph]]]:
+def _verify_targets(args) -> tuple[str, int, Iterable[tuple[str, Graph]]]:
+    """The overall source, the number of graphs, and (source, graph) per graph, each built when reached."""
     if args.seeds is not None:
         if args.family != "gnp":
             raise InputError("--seeds requires --family gnp")
@@ -255,14 +256,12 @@ def _verify_targets(args) -> tuple[str, list[tuple[str, Graph]]]:
             raise InputError(f"--seeds must be between 1 and {MAX_SEEDS}, got {args.seeds}")
         if args.n is None or args.prob is None:
             raise InputError("--family gnp needs --n and --prob")
-        targets = []
-        for seed in range(args.seeds):
-            src = _family_source("gnp", {"n": args.n, "prob": args.prob, "seed": seed})
-            targets.append((src, generate("gnp", n=args.n, prob=args.prob, seed=seed)))
+        targets = ((_family_source("gnp", {"n": args.n, "prob": args.prob, "seed": seed}),
+                    generate("gnp", n=args.n, prob=args.prob, seed=seed)) for seed in range(args.seeds))
         overall = _family_source("gnp", {"n": args.n, "prob": args.prob}) + f"+seeds=0..{args.seeds - 1}"
-        return overall, targets
+        return overall, args.seeds, targets
     source, g = _resolve_graph(args)
-    return source, [(source, g)]
+    return source, 1, [(source, g)]
 
 
 def _mismatch_witnesses(sets: dict[str, set[int]]) -> list[list[int]]:
@@ -277,11 +276,11 @@ def _mismatch_witnesses(sets: dict[str, set[int]]) -> list[list[int]]:
 
 
 def _cmd_verify(args) -> tuple[RunReport, int]:
-    overall_source, targets = _verify_targets(args)
+    overall_source, count, targets = _verify_targets(args)
     oracle_cap = _env_oracle_cap()
     checks = []
     failures = 0
-    single = len(targets) == 1
+    single = count == 1
     report = RunReport(command="verify", source=overall_source)
     for source, g in targets:
         oracle = "included" if g.n <= oracle_cap else "skipped"
@@ -311,7 +310,7 @@ def _cmd_verify(args) -> tuple[RunReport, int]:
             checks.append(entry)
     report.results = {
         "checks": checks,
-        "counts": {"graphs": len(targets), "failures": failures},
+        "counts": {"graphs": count, "failures": failures},
     }
     report.verified = failures == 0
     return report, 0 if report.verified else 1

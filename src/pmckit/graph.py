@@ -237,14 +237,24 @@ def empty_graph(n: int) -> Graph:
 
 
 def gnp(n: int, prob: float, seed: int) -> Graph:
-    """G(n, p) with a fixed pair order, deterministic for a given seed."""
+    """G(n, p) with a fixed pair order, deterministic for a given seed.
+
+    Each drawn edge is OR-ed into the adjacency masks as it is drawn, so
+    memory is the masks, with no list of the edges.
+    """
     if n < 1:
         raise InputError("vertex count must be positive")
     if not 0.0 <= prob <= 1.0:
         raise InputError("edge probability must be in [0, 1]")
     rng = random.Random(seed)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < prob]
-    return Graph.from_edges(n, edges)
+    adj = [0] * n
+    for u in range(n):
+        bit = 1 << u
+        for v in range(u + 1, n):
+            if rng.random() < prob:
+                adj[u] |= 1 << v
+                adj[v] |= bit
+    return _graph_from_adj(n, adj)
 
 
 _FAMILIES = {

@@ -23,6 +23,7 @@ from array import array
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Sequence
 
 from .bitset import VertexSet, canonical_sets, iter_bits
 from .errors import CapExceeded, InputError
@@ -100,40 +101,19 @@ def _pmc_pieces(adj: tuple[int, ...], om: int, space: int, known: defaultdict | 
     return tuple(pieces) if _pairs_covered(adj, om, [s for s, _ in pieces]) else None
 
 
-def _pairs_covered(adj: tuple[int, ...], om: int, seps: list[int]) -> bool:
-    """True iff every non-adjacent pair inside ``om`` lies in one of ``seps``.
-
-    The lowest vertex x of ``om`` in none of ``seps`` is tried first: its
-    pairs are covered only if it sees all of ``om``.
-    """
-    inside = 0
-    for s in seps:
-        inside |= s
-    free = om & ~inside
-    if free:
-        x = free & -free
-        if om & ~(adj[x.bit_length() - 1] | x):
-            return False
-    for u in iter_bits(om):
-        cov = adj[u] | (1 << u)
-        if not om & ~cov:
-            continue
-        for s in seps:
-            if (s >> u) & 1:
-                cov |= s
-        if om & ~cov:
-            return False
-    return True
+def _pairs_covered(adj: tuple[int, ...], om: int, seps: Sequence[int]) -> bool:
+    """True iff every non-adjacent pair inside ``om`` lies in one of ``seps``."""
+    return not _stranded(adj, om, 0, seps)
 
 
-def _stranded(adj: tuple[int, ...], stay: int, later: int, seps: tuple[int, ...]) -> bool:
+def _stranded(adj: tuple[int, ...], stay: int, later: int, seps: Sequence[int]) -> bool:
     """True iff some v in ``stay`` with no neighbor in ``later`` has N[v] plus the ``seps`` holding v short of ``stay``."""
     rest = stay
     while rest:
         bit = rest & -rest
         rest ^= bit
         cov = adj[bit.bit_length() - 1] | bit
-        if cov & later:
+        if cov & later or not stay & ~cov:
             continue
         for s in seps:
             if s & bit:

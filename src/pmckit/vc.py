@@ -6,28 +6,30 @@ separators and its four-partitions (plus a pair choice) for PMCs with an
 active separator. A nonempty minimal separator or a PMC lies in one
 component, and its lemma's partition puts every other component's cover
 vertices on the far side (D2 or Ds), where they add nothing: so the walks
-cost the sum of the components' partitions, not the product. The walks go
-depth-first over the cover vertices and carry OR-ed masks of each side's
-cover vertices and the non-cover vertices it sees, so a leaf costs a few
-bitwise operations. They never put a cover vertex on a side that holds
-one of its cover neighbours: every side they need lies in components of
-G - S or G - Omega that no edge joins, so 3^|W| and 4^|W| are only upper
-bounds on the partitions visited. The candidates for PMCs with an active
-separator are the four-partition candidates plus every closed neighborhood
-N[x]; the full PMC catalog adds each separator S plus one vertex of S's
-component (any when S is empty): no PMC spans two. Each route has one
-recognizer filter: the separator sweep keeps what passes _min_sep_mask, and
-the PMC candidates go once through PmcCatalog.collect, so each stage may
-over-generate freely. The separator sweep groups its candidates by their
-separator part, which no two groups share, and filters one group before
-it makes the next: it holds the separators kept and one group, not every
-candidate. The PMC walk's candidates are held in one set, for one
-collect.
+cost the sum of the components' partitions, not the product. Both sweeps
+run one walk, _cover_parts, depth-first over the cover vertices on an
+explicit stack. It carries OR-ed masks of each side's cover vertices and
+the non-cover vertices they see, so a partition costs a few bitwise
+operations. It never puts a cover vertex on a side that holds one of its
+cover neighbours: every side the sweeps need lies in components of G - S
+or G - Omega that no edge joins, so 3^|W| and 4^|W| are only upper bounds
+on the partitions visited. It yields the partitions grouped by the part
+of the cover on no side (the separator part, or Om), and a candidate's
+cover vertices are that part, so no two groups share a candidate. The
+candidates for PMCs with an active separator are the four-partition
+candidates plus every closed neighborhood N[x]; the full PMC catalog adds
+each separator S plus one vertex of S's component (any when S is empty):
+no PMC spans two. Each route has one recognizer filter: the separator
+sweep keeps what passes _min_sep_mask, and the PMC candidates go once
+through PmcCatalog.collect, so each stage may over-generate freely. The
+separator sweep filters one group before it makes the next: it holds the
+separators kept and one group, not every candidate. The PMC walk's
+candidates are held in one set, for one collect.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .bitset import VertexSet, canonical_sets, iter_bits
 from .errors import InputError
@@ -90,38 +92,59 @@ def minimum_vertex_cover(g: Graph) -> VertexSet:
             search(alive & ~nb & ~bit, cover | nb, size + nb.bit_count())
 
     search(g.full_mask, 0, 0)
-    del search  # a closure that refers to itself through its cell (see _pmc_walk)
+    # search refers to itself through its cell: emptying it lets the closure
+    # go by reference counting when this returns
+    del search
     return VertexSet(best_mask)
 
 
-def _cover_sees(adj: tuple[int, ...], wmask: int) -> list[tuple[int, int, int]]:
-    """(bit, side, nbrs) per cover vertex w.
+def _cover_parts(adj: tuple[int, ...], wmask: int, sides: tuple[int, ...],
+                 grow: Callable[[list, int, int], list]) -> Iterator[tuple[int, list]]:
+    """The walk of both cover sweeps: (part, side tuples) once per part of the cover that a walked partition has.
 
-    bit is w's own bit, side is bit plus the non-cover vertices adjacent to
-    w (what w adds to a side), and nbrs is w's cover neighbours.
+    The walk goes depth-first over the cover vertices, on an explicit
+    stack, putting each either in the part or on a side. It carries the
+    list of side tuples that the side choices so far allow, starting from
+    [sides]; a side ORs its cover vertices' bits and the non-cover vertices
+    that see them. A vertex put in the part leaves the list as it is. One
+    put on a side replaces it by grow(tups, t, c), where t is the vertex's
+    bit plus its non-cover neighbours (what it adds to a side) and c is its
+    cover neighbours: grow extends each tuple on every side its sweep's rule
+    allows, and an empty list ends the branch. After the last vertex the
+    list is yielded with its part, so no part is yielded twice, and the walk
+    holds the lists of one path plus the one yielded.
     """
     outside = ~wmask
-    return [(1 << w, (1 << w) | adj[w] & outside, adj[w] & wmask) for w in iter_bits(wmask)]
+    cover = [(1 << w, (1 << w) | adj[w] & outside, adj[w] & wmask) for w in iter_bits(wmask)]
+    todo = [(0, 0, [sides])]
+    while todo:
+        i, part, tups = todo.pop()
+        if i == len(cover):
+            yield part, tups
+            continue
+        b, t, c = cover[i]
+        todo.append((i + 1, part | b, tups))
+        sided = grow(tups, t, c)
+        if sided:
+            todo.append((i + 1, part, sided))
+
+
+def _sep_grow(pairs: list[tuple[int, int]], t: int, c: int) -> list[tuple[int, int]]:
+    """Each (s1, s2) with a cover vertex on s1, and on s2 once s1 has one: see _sep_parts."""
+    return ([(s1 | t, s2) for s1, s2 in pairs if not c & s2]
+            + [(s1, s2 | t) for s1, s2 in pairs if s1 and not c & s1])
 
 
 def _sep_parts(adj: tuple[int, ...], wmask: int) -> Iterator[set[int]]:
     """Separator candidates from the three-partitions (D1, S, D2) of the cover, one set per separator part.
 
     The candidate of a partition is its separator part sep plus the
-    non-cover vertices that see both sides: sep | (s1 & s2), where a side
-    s1 or s2 ORs its cover vertices' bits and the non-cover vertices that
-    see them (the sides' cover bits are disjoint, so s1 & s2 holds only
-    non-cover vertices). A candidate's cover vertices are its sep, so two
-    partitions give the same candidate only if their seps are equal: each
-    yielded set holds every candidate of one sep, and no other set holds
-    any of them.
-
-    The walk goes depth-first over the cover vertices, putting each in sep
-    or on a side, and carries the list of (s1, s2) that the side choices so
-    far allow. A vertex put in sep leaves the list as it is; one put on a
-    side extends each pair both ways. At the last vertex each list gives
-    its sep's set, so the walk holds the lists of one path and one sep's
-    candidates.
+    non-cover vertices that see both sides: sep | (s1 & s2), with the sides
+    s1 and s2 as _cover_parts carries them (their cover bits are disjoint,
+    so s1 & s2 holds only non-cover vertices). A candidate's cover vertices
+    are its sep, so two partitions give the same candidate only if their
+    seps are equal: each part of _cover_parts gives one set, and no other
+    set holds any of its candidates.
 
     A minimal separator S is rebuilt from D1 = W ∩ C1 and D2 = W - S - C1
     for a full component C1 of G - S. No edge joins two components of G - S,
@@ -129,32 +152,11 @@ def _sep_parts(adj: tuple[int, ...], wmask: int) -> Iterator[set[int]]:
     vertex on the side opposite one of its cover neighbours.
 
     The mirror (D2, S, D1) of a partition gives the same candidate, since
-    s1 & s2 is symmetric, and is pruned alike. So the first vertex put on
-    a side goes to s1 only.
+    s1 & s2 is symmetric, and is pruned alike. So s2 takes a vertex only
+    once s1 has one.
     """
-    cover = _cover_sees(adj, wmask)
-    if not cover:
-        yield {0}
-        return
-    last = len(cover) - 1
-    start = [(0, 0)]  # no vertex on a side yet
-    todo = [(0, 0, start)]
-    while todo:
-        i, sep, pairs = todo.pop()
-        b, t, c = cover[i]
-        if pairs is start:
-            sided = [(t, 0)]
-        else:
-            sided = [(s1 | t, s2) for s1, s2 in pairs if not c & s2]
-            sided += [(s1, s2 | t) for s1, s2 in pairs if not c & s1]
-        if i == last:
-            yield {sep | b | (s1 & s2) for s1, s2 in pairs}
-            if sided:
-                yield {sep | (s1 & s2) for s1, s2 in sided}
-        else:
-            todo.append((i + 1, sep | b, pairs))
-            if sided:
-                todo.append((i + 1, sep, sided))
+    for sep, pairs in _cover_parts(adj, wmask, (0, 0), _sep_grow):
+        yield {sep | (s1 & s2) for s1, s2 in pairs}
 
 
 def _sep_masks_by_vc(g: Graph, wmask: int) -> list[int]:
@@ -187,20 +189,27 @@ def separators_by_vc(g: Graph, w: VertexSet) -> list[VertexSet]:
     return canonical_sets(_sep_masks_by_vc(g, w.mask))
 
 
+def _pmc_grow(sides: list[tuple[int, int, int]], t: int, c: int) -> list[tuple[int, int, int]]:
+    """Each (sds, sdx, sdy) with a cover vertex on sds, on sdx, and on sdy once sdx has one: see _pmc_walk."""
+    return ([(ds | t, dx, dy) for ds, dx, dy in sides if not c & (dx | dy)]
+            + [(ds, dx | t, dy) for ds, dx, dy in sides if not c & (ds | dy)]
+            + [(ds, dx, dy | t) for ds, dx, dy in sides if dx and not c & (ds | dx)])
+
+
 def _pmc_walk(adj: tuple[int, ...], wmask: int, out: set[int]) -> set[int]:
     """PMC candidates from the four-partitions (Ds, Dx, Dy, Om) of the cover and a pair choice, added to ``out``.
 
-    The walk assigns each cover vertex depth-first to one of the four parts,
-    OR-ing its bit and its non-cover neighbors into sds, sdx or sdy (or its
-    bit into om). At a leaf, a non-cover vertex joins the candidate if it
-    sees the far side Ds and a near side, or sees no far side but both near
-    sides once the non-cover neighborhoods of a pair (x, y) are added to
-    sdx and sdy. Each of x and y ranges over no vertex and the cover
-    vertices in Om: the active pair lies inside S, a subset of Omega, so a
-    cover member of the pair is in Om, and a non-cover member has no
-    non-cover neighbor, the same as no vertex. Swapping Dx and Dy gives the
-    same candidates, so only partitions whose first near-side vertex is in
-    Dx are walked.
+    The parts of _cover_parts are Om, with sides (sds, sdx, sdy). A
+    non-cover vertex joins a side tuple's candidate if it sees the far side
+    Ds and a near side, or sees no far side but both near sides once the
+    non-cover neighborhoods of a pair (x, y) are added to sdx and sdy. Each
+    of x and y ranges over no vertex and the cover vertices in Om: the
+    active pair lies inside S, a subset of Omega, so a cover member of the
+    pair is in Om, and a non-cover member has no non-cover neighbor, the
+    same as no vertex. A candidate's cover vertices are its Om, so each
+    part's candidates are its own, and its pair-member data is built once
+    from it. Swapping Dx and Dy gives the same candidates, so Dy takes a
+    vertex only once Dx has one.
 
     The walk skips every partition with a cover edge between two of Ds, Dx
     and Dy. For a PMC Omega with an active separator S = N(D), D a component
@@ -223,62 +232,39 @@ def _pmc_walk(adj: tuple[int, ...], wmask: int, out: set[int]) -> set[int]:
       Ds and is in sds. Otherwise D is one non-cover vertex, whose
       neighbours all lie in S, inside Om, so it sees no side;
     - differs from a cover member y and is not adjacent to it.
-    The leaf tries only the members and pairs that pass. Members whose
-    masks agree are merged before the product, keeping the union of the
-    cover vertices each x-mask's members may pair with (every vertex for
-    no member, which pairs with anything).
+    Only the members and pairs that pass are tried. Members whose masks
+    agree are merged before the product, keeping the union of the cover
+    vertices each x-mask's members may pair with (every vertex for no
+    member, which pairs with anything).
     """
     nonw = ~wmask
     # a bit of no vertex, set in every x's partners: no y (-1) then pairs with any x
     top = 1 << len(adj)
-    # per cover vertex: bit, side, cover nbrs, and as a pair member
-    # (non-cover nbrs, nbrs, cover nbrs, the cover vertices it may pair with, bit)
-    cover = [(b, t, c, (t ^ b, adj[b.bit_length() - 1], c, wmask & ~c & ~b | top, b))
-             for b, t, c in _cover_sees(adj, wmask)]
-    k = len(cover)
-    update = out.update
-
-    def leaf(om: int, sds: int, sdx: int, sdy: int, members: tuple) -> None:
-        near = sdx | sdy
-        base = om | (sds & near)
-        quiet = near & ~sds & nonw
-        if not quiet:
-            out.add(base)
-            return
-        qx, qy = quiet & sdx, quiet & sdy
-        reach = sds | nonw & ~(sds | near)
-        # x-mask -> its members' partners; y-mask -> its members (-1: no member)
-        xs, ys = {qx: -1}, {qy: -1}
-        for t, a, c, partners, b in members:
-            if a & reach:
-                if not c & sdy:
-                    m = qx | quiet & t
-                    xs[m] = xs.get(m, 0) | partners
-                if not c & sdx:
-                    m = qy | quiet & t
-                    ys[m] = ys.get(m, 0) | b
-        update([base | (mx & my) for mx, px in xs.items() for my, yb in ys.items() if px & yb])
-
-    # members: the pair data of each cover vertex put in Om so far, carried
-    # down so that a leaf does not rebuild it from om
-    def walk(i: int, om: int, sds: int, sdx: int, sdy: int, split: bool, members: tuple) -> None:
-        if i == k:
-            leaf(om, sds, sdx, sdy, members)
-            return
-        b, t, c, member = cover[i]
-        i += 1
-        walk(i, om | b, sds, sdx, sdy, split, (*members, member))
-        if not c & (sdx | sdy):
-            walk(i, om, sds | t, sdx, sdy, split, members)
-        if not c & (sds | sdy):
-            walk(i, om, sds, sdx | t, sdy, True, members)
-        if split and not c & (sds | sdx):
-            walk(i, om, sds, sdx, sdy | t, True, members)
-
-    walk(0, 0, 0, 0, 0, False, ())
-    # walk refers to itself through its cell: emptying it lets the closures,
-    # and whatever they hold, go by reference counting when this returns
-    del walk
+    for om, sides in _cover_parts(adj, wmask, (0, 0, 0), _pmc_grow):
+        # per cover vertex of Om: non-cover nbrs, nbrs, cover nbrs, the cover
+        # vertices it may pair with, bit
+        members = [(adj[v] & nonw, adj[v], adj[v] & wmask, wmask & ~adj[v] & ~(1 << v) | top, 1 << v)
+                   for v in iter_bits(om)]
+        for sds, sdx, sdy in sides:
+            near = sdx | sdy
+            base = om | (sds & near)
+            quiet = near & ~sds & nonw
+            if not quiet:
+                out.add(base)
+                continue
+            qx, qy = quiet & sdx, quiet & sdy
+            reach = sds | nonw & ~(sds | near)
+            # x-mask -> its members' partners; y-mask -> its members (-1: no member)
+            xs, ys = {qx: -1}, {qy: -1}
+            for t, a, c, partners, b in members:
+                if a & reach:
+                    if not c & sdy:
+                        m = qx | quiet & t
+                        xs[m] = xs.get(m, 0) | partners
+                    if not c & sdx:
+                        m = qy | quiet & t
+                        ys[m] = ys.get(m, 0) | b
+            out.update([base | (mx & my) for mx, px in xs.items() for my, yb in ys.items() if px & yb])
     return out
 
 

@@ -409,6 +409,32 @@ class TestInputGuards:
         assert main(argv + ["0"]) == 2
         assert "4096" in capsys.readouterr().err
 
+    def test_verify_seeds_builds_each_graph_in_its_turn(self, capsys, monkeypatch):
+        # building every seed's graph before the first check held them all:
+        # about 2.2 MiB each at n = 4096, so 9 GiB for 4096 seeds
+        built, met = [], []
+        real = pmckit.cli.generate
+
+        def counted(family, **params):
+            built.append(params["seed"])
+            return real(family, **params)
+
+        def stub_basis(g, method, report=None):
+            met.append((method, len(built)))
+
+        monkeypatch.setattr(pmckit.cli, "generate", counted)
+        monkeypatch.setattr(pmckit.cli, "_route_basis", stub_basis)
+        monkeypatch.setattr(pmckit.cli, "_route_lists", lambda g, method, jobs, basis: ([], PmcCatalog.collect(g, [])))
+        argv = ["verify", "--family", "gnp", "--n", "6", "--prob", "0.5", "--seeds"]
+        code, blob = run_json(capsys, argv + ["3"])
+        assert code == 0 and blob["results"]["counts"]["graphs"] == 3
+        assert built == [0, 1, 2]
+        assert met == [(m, k) for k in (1, 2, 3) for m in ("brute", "mw", "vc")]
+        # one seed fills the report's graph fields from the graph it builds
+        code, blob = run_json(capsys, argv + ["1"])
+        g = gnp(6, 0.5, 0)
+        assert code == 0 and (blob["graph"]["n"], blob["graph"]["m"]) == (g.n, g.m)
+
     @pytest.mark.parametrize("argv", [["solve", "tw"], ["enum", "pmcs"], ["solve", "fillin"]])
     def test_mw_prime_quotient_over_cap(self, capsys, gnp24_vc, argv):
         # gnp(24,0.15,1) is prime with a 23-vertex quotient, over the 20-vertex

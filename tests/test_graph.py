@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import tracemalloc
 
 import pytest
@@ -122,6 +123,27 @@ class TestGenerators:
     def test_gnp_deterministic(self):
         assert gnp(10, 0.3, seed=1) == gnp(10, 0.3, seed=1)
         assert gnp(10, 0.3, seed=1) != gnp(10, 0.3, seed=2)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30, 65])
+    def test_gnp_draws_the_edge_list_graph(self, n):
+        # the edges are drawn in the same pair order as the edge list that
+        # was once built and handed to from_edges
+        for prob in (0.0, 0.1, 0.5, 1.0):
+            for seed in range(4):
+                rng = random.Random(seed)
+                edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < prob]
+                assert gnp(n, prob, seed) == Graph.from_edges(n, edges), (prob, seed)
+
+    def test_gnp_builds_no_edge_list(self):
+        # the list of every edge of the complete graph peaked at 47.5 MiB here
+        tracemalloc.start()
+        try:
+            g = gnp(1024, 1.0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.m == 1024 * 1023 // 2
+        assert peak < 2 << 20
 
     def test_named_families(self):
         assert path(4).m == 3

@@ -35,7 +35,15 @@ from pmckit import (
 )
 from pmckit.bitset import iter_bits
 from pmckit.cli import main
-from pmckit.vc import _active_pmc_candidates, _pmc_walk, _sep_masks_by_vc, _sep_parts
+from pmckit.vc import (
+    _active_pmc_candidates,
+    _cover_parts,
+    _pmc_grow,
+    _pmc_walk,
+    _sep_grow,
+    _sep_masks_by_vc,
+    _sep_parts,
+)
 from reference import active_separators, full_components, vset
 from strategies import disjoint_union
 
@@ -60,7 +68,7 @@ class FourPartition(NamedTuple):
 
 
 def three_partitions(wmask: int) -> Iterator[ThreePartition]:
-    """Every three-partition of the cover, the unpruned reference for _sep_walk."""
+    """Every three-partition of the cover, the unpruned reference for _sep_parts."""
     bits = [1 << v for v in iter_bits(wmask)]
     for assign in product(range(3), repeat=len(bits)):
         parts = [0, 0, 0]
@@ -86,6 +94,26 @@ def sep_candidates(adj, wmask: int) -> set[int]:
         assert len({m & wmask for m in part}) == 1 and not part & out
         out |= part
     return out
+
+
+def side_mask(g, d: int, wmask: int) -> int:
+    """A side as the walks carry it: its cover vertices d and the non-cover vertices that see them."""
+    return d | sum(1 << z for z in iter_bits(g.full_mask & ~wmask) if g.adj[z] & d)
+
+
+def first_side_leads(a: int, b: int) -> bool:
+    """Whether a partition is walked rather than its mirror: side a holds the lowest sided vertex."""
+    return not b or 0 < a & -a < b & -b
+
+
+def walked(adj, wmask: int, sides: tuple[int, ...], grow) -> list[tuple[int, ...]]:
+    """Every (part, *sides) that _cover_parts yields, sorted, checking that no part comes twice."""
+    out, parts = [], set()
+    for part, tups in _cover_parts(adj, wmask, sides, grow):
+        assert part not in parts and tups
+        parts.add(part)
+        out += [(part, *tup) for tup in tups]
+    return sorted(out)
 
 
 def traced_peak(fn) -> int:
@@ -203,6 +231,54 @@ class TestPartitionSpaces:
                         b = 0 if y is None else g.adj[y] & nonw
                         want.add(om | (sees[0] & near) | (quiet & near & (sees[1] | a) & (sees[2] | b)))
             assert _pmc_walk(g.adj, w, set()) == want, name
+
+    def test_walk_visits_each_unpruned_partition_once(self, quick_corpus):
+        # one side tuple per partition with no cover edge between two sides,
+        # and of a partition and its mirror only the one whose first side
+        # takes the lowest sided vertex
+        for name, g in quick_corpus:
+            w = minimum_vertex_cover(g).mask
+            want = sorted((sep, side_mask(g, d1, w), side_mask(g, d2, w))
+                          for d1, sep, d2 in three_partitions(w)
+                          if not joined(g, d1, d2) and first_side_leads(d1, d2))
+            assert walked(g.adj, w, (0, 0), _sep_grow) == want, name
+        for name, g in quick_corpus[::4]:
+            w = minimum_vertex_cover(g).mask
+            want = sorted((om, side_mask(g, ds, w), side_mask(g, dx, w), side_mask(g, dy, w))
+                          for ds, dx, dy, om in four_partitions(w)
+                          if not (joined(g, ds, dx) or joined(g, ds, dy) or joined(g, dx, dy))
+                          and first_side_leads(dx, dy))
+            assert walked(g.adj, w, (0, 0, 0), _pmc_grow) == want, name
+
+    def test_pmc_walk_groups_candidates_by_om(self, monkeypatch, quick_corpus):
+        # each part Om of the walk gives candidates whose cover vertices are
+        # Om, and no Om comes twice, as each of the separator sweep's sets
+        # holds one separator part
+        groups: list[tuple[int, list[int]]] = []
+        real = pmckit.vc._cover_parts
+
+        def logged(*args):
+            for om, sides in real(*args):
+                groups.append((om, []))
+                yield om, sides
+
+        class Logged(set):
+            def add(self, m):
+                groups[-1][1].append(m)
+                super().add(m)
+
+            def update(self, ms):
+                groups[-1][1].extend(ms)
+                super().update(ms)
+
+        monkeypatch.setattr(pmckit.vc, "_cover_parts", logged)
+        for name, g in quick_corpus + [("gnp(16,0.25,1)", gnp(16, 0.25, 1))]:
+            w = minimum_vertex_cover(g).mask
+            groups.clear()
+            out = _pmc_walk(g.adj, w, Logged())
+            assert len({om for om, _ in groups}) == len(groups), name
+            assert all(cands and all(m & w == om for m in cands) for om, cands in groups), name
+            assert set().union(*(cands for _, cands in groups)) == out, name
 
     def test_pair_choice_candidate_count(self):
         # pins the pair cut, so candidates per graph cannot grow back unseen:
